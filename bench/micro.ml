@@ -59,6 +59,11 @@ let block_decode =
            it.Iter.next ()
          done))
 
+let crc32c_4k =
+  let block = String.init 4096 (fun i -> Char.chr (i * 31 land 0xff)) in
+  Test.make ~name:"crc32c-4KiB"
+    (Staged.stage (fun () -> ignore (Lsm_util.Crc32c.string block)))
+
 let merge_step =
   let mk off =
     Iter.of_sorted_array cmp
@@ -80,7 +85,7 @@ let zipf_next =
 let tests =
   List.map memtable_insert Memtable.all_kinds
   @ List.map memtable_lookup Memtable.all_kinds
-  @ [ bloom_query; cuckoo_query; block_decode; merge_step; zipf_next ]
+  @ [ bloom_query; cuckoo_query; block_decode; crc32c_4k; merge_step; zipf_next ]
 
 let run () =
   print_endline "\n==== microbenchmarks (Bechamel, monotonic clock, ns/run) ====\n";

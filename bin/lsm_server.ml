@@ -76,6 +76,9 @@ let () =
   let map = Shard_map.open_shards ~config ~fanout_workers:!fanout ~count:!shards ~mode () in
   let server = Server.create ~quota ~shards:map ~sock_path:!socket () in
   let stop _ = Server.request_shutdown server in
+  (* A client that hangs up with replies pending must cost only its own
+     connection: the write fails with EPIPE and the server closes it. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Printf.printf "lsm-server: %d shard(s), listening on %s\n%!" (Shard_map.count map) !socket;

@@ -60,6 +60,10 @@ type t = {
 
 let create ?quota ?(backlog = 128) ~shards ~sock_path () =
   let quota = match quota with Some q -> q | None -> Quota.create () in
+  (* Writing to a peer that has hung up raises SIGPIPE, whose default
+     action kills the whole process. Ignored, the write fails with EPIPE
+     instead, and [handle_writable] closes just that connection. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink sock_path with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock fd;

@@ -49,7 +49,9 @@ val create :
   ?quota:Quota.t -> ?backlog:int -> shards:Shard_map.t -> sock_path:string -> unit -> t
 (** Bind and listen on [sock_path] (an existing socket file is removed
     first), non-blocking. The shard map stays owned by the caller —
-    {!run} quiesces it on [SHUTDOWN] but never closes it. *)
+    {!run} quiesces it on [SHUTDOWN] but never closes it. Sets SIGPIPE
+    to ignored for the whole process, so a peer that hangs up with
+    replies pending only loses its own connection. *)
 
 val step : t -> timeout:float -> bool
 (** One reactor round: wait up to [timeout] seconds for readiness, then

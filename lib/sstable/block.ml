@@ -61,21 +61,22 @@ module Builder = struct
   let is_empty t = t.count = 0
 
   let finish t =
-    let restarts = List.rev t.restarts in
-    let out = Buffer.create (size_estimate t + 4) in
-    Buffer.add_buffer out t.buf;
-    List.iter (Codec.put_u32 out) restarts;
-    Codec.put_u32 out t.nrestarts;
-    let body = Buffer.contents out in
-    let crc = Crc32c.mask (Crc32c.string body) in
-    Codec.put_u32 out (Int32.to_int crc land 0xffffffff);
+    List.iter (Codec.put_u32 t.buf) (List.rev t.restarts);
+    Codec.put_u32 t.buf t.nrestarts;
+    let n = Buffer.length t.buf in
+    let block = Bytes.create (n + 4) in
+    Buffer.blit t.buf 0 block 0 n;
+    (* The CRC reads the body in place through a temporary string view
+       that it does not retain; the trailer is written after it returns. *)
+    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string block) ~pos:0 ~len:n) in
+    Bytes.set_int32_le block n crc;
     Buffer.clear t.buf;
     t.restarts <- [];
     t.nrestarts <- 0;
     t.since_restart <- 0;
     t.last_key <- "";
     t.count <- 0;
-    Buffer.contents out
+    Bytes.unsafe_to_string block
 end
 
 (* Copying verify: strips the CRC trailer into a fresh body string. Kept

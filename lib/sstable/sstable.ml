@@ -418,9 +418,10 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
      reads (e.g. [may_contain_key] consulting rotted min/max keys). *)
   let meta_crc =
     Crc32c.mask
-      (Crc32c.string
-         (filter_block ^ rfilter_block ^ index_block ^ props_block
-        ^ Buffer.contents footer))
+      (List.fold_left
+         (fun init s -> Crc32c.string ~init s)
+         0l
+         [ filter_block; rfilter_block; index_block; props_block; Buffer.contents footer ])
   in
   Codec.put_u32 footer (Int32.to_int meta_crc land 0xffffffff);
   Codec.put_u32 footer magic;
@@ -647,7 +648,8 @@ let open_reader ~cmp ~dev ~cache ?(on_ecc = fun (_ : ecc_event) -> ()) name =
       read_with_retry dev ~cls:Io_stats.C_misc name ~off:filter_off
         ~len:(size - footer_size - filter_off)
     in
-    if Crc32c.mask (Crc32c.string (meta ^ String.sub footer 0 32)) <> stored_crc then
+    if Crc32c.mask (Crc32c.sub ~init:(Crc32c.string meta) footer ~pos:0 ~len:32) <> stored_crc
+    then
       corrupt ~offset:filter_off "meta-block checksum mismatch";
     let cut off len = String.sub meta (off - filter_off) len in
     try

@@ -21,6 +21,7 @@ let () =
       ("crash", Test_crash.suite);
       ("corruption", Test_corruption.suite);
       ("ecc", Test_ecc.suite);
+      ("format", Test_format.suite);
       ("lint", Test_lint.suite);
       ("lockdep", Test_lockdep.suite);
       ("races", Test_races.suite);

@@ -278,6 +278,49 @@ let test_server_quota_denial () =
     (rpc server c2 [ "PUT"; "k"; "v" ] = Resp.Simple "OK");
   check_int "denials counted" 3 (Server.stats server).Server.quota_denials
 
+(* Graceful shutdown: +OK, then the listener drains and exits. *)
+let shutdown_and_drain server =
+  let c = raw_connect (Server.sock_path server) in
+  check_bool "shutdown acked" true (rpc server c [ "SHUTDOWN" ] = Resp.Simple "OK");
+  raw_close c;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let running = ref true in
+  while !running do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "drain timeout";
+    running := Server.step server ~timeout:0.01
+  done;
+  check_bool "socket file removed" false (Sys.file_exists (Server.sock_path server))
+
+(* A client pipelines 20k PINGs, never reads a reply, and hangs up while
+   the server still has input to execute and replies queued for it. The
+   server's next write to that socket fails with EPIPE; with SIGPIPE at
+   its default action that write would kill the process. *)
+let test_server_survives_hangup_mid_pipeline () =
+  let map, server = small_server ~name:"hangup" ~shards:2 ~fanout:0 () in
+  Fun.protect ~finally:(fun () ->
+      Server.close server;
+      Shard_map.close_all map)
+  @@ fun () ->
+  let c = raw_connect (Server.sock_path server) in
+  let pings = String.concat "" (List.init 20_000 (fun _ -> Resp.encode_command [ "PING" ])) in
+  let off = ref 0 in
+  while !off < String.length pings do
+    match Unix.write_substring c.fd pings !off (String.length pings - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      pump server ()
+  done;
+  raw_close c;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (Server.stats server).Server.active > 0 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "hung-up connection never closed";
+    pump server ()
+  done;
+  let c2 = raw_connect (Server.sock_path server) in
+  Fun.protect ~finally:(fun () -> raw_close c2) @@ fun () ->
+  check_bool "second client served" true (rpc server c2 [ "PING" ] = Resp.Simple "PONG");
+  shutdown_and_drain server
+
 (* ---------- end-to-end: simulator against a live server ---------- *)
 
 let run_e2e ~name ~fanout ~connections ~ops () =
@@ -309,17 +352,7 @@ let run_e2e ~name ~fanout ~connections ~ops () =
   check_int "zero server errors" 0 report.Server_harness.server_errors;
   check_bool "writes acked" true (report.Server_harness.writes_acked > 0);
   check_bool "reconnect verification ran" true (report.Server_harness.verified_keys > 0);
-  (* Graceful shutdown: +OK, then the listener drains and exits. *)
-  let c = raw_connect (Server.sock_path server) in
-  check_bool "shutdown acked" true (rpc server c [ "SHUTDOWN" ] = Resp.Simple "OK");
-  raw_close c;
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let running = ref true in
-  while !running do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "drain timeout";
-    running := Server.step server ~timeout:0.01
-  done;
-  check_bool "socket file removed" false (Sys.file_exists (Server.sock_path server))
+  shutdown_and_drain server
 
 let test_e2e_sequential () = run_e2e ~name:"e2e-seq" ~fanout:0 ~connections:40 ~ops:2_500 ()
 let test_e2e_fanout () = run_e2e ~name:"e2e-fan" ~fanout:4 ~connections:60 ~ops:3_000 ()
@@ -339,6 +372,8 @@ let suite =
       test_server_tenant_isolation;
     Alcotest.test_case "server: quota denial is typed and per-tenant" `Quick
       test_server_quota_denial;
+    Alcotest.test_case "server: client hang-up mid-pipeline is not fatal" `Quick
+      test_server_survives_hangup_mid_pipeline;
     Alcotest.test_case "server: e2e simulator, sequential shards" `Slow test_e2e_sequential;
     Alcotest.test_case "server: e2e simulator, pooled fan-out + shutdown drain" `Slow
       test_e2e_fanout;

@@ -89,7 +89,12 @@ let prop_mixed_stream =
 let test_crc_known_vectors () =
   (* Standard CRC-32C test vector: "123456789" -> 0xE3069283. *)
   Alcotest.(check int32) "check value" 0xE3069283l (Crc32c.string "123456789");
-  Alcotest.(check int32) "empty" 0l (Crc32c.string "")
+  Alcotest.(check int32) "empty" 0l (Crc32c.string "");
+  (* RFC 3720 appendix B.4 (iSCSI) vectors. *)
+  Alcotest.(check int32) "32 x 00" 0x8A9136AAl (Crc32c.string (String.make 32 '\x00'));
+  Alcotest.(check int32) "32 x FF" 0x62A8AB43l (Crc32c.string (String.make 32 '\xff'));
+  Alcotest.(check int32) "0..31" 0x46DD794El (Crc32c.string (String.init 32 Char.chr));
+  Alcotest.(check int32) "31..0" 0x113FDB5Cl (Crc32c.string (String.init 32 (fun i -> Char.chr (31 - i))))
 
 let test_crc_mask_roundtrip () =
   let crc = Crc32c.string "hello world" in
@@ -106,6 +111,37 @@ let prop_crc_detects_flip =
       let flipped = Bytes.of_string s in
       Bytes.set flipped i (Char.chr (Char.code s.[i] lxor 0x01));
       Crc32c.string s <> Crc32c.string (Bytes.to_string flipped))
+
+(* Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+   table-driven kernel is checked against. *)
+let crc32c_bitwise ~init s ~pos ~len =
+  let c = ref (lnot (Int32.to_int init) land 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82f63b78 else !c lsr 1
+    done
+  done;
+  Int32.of_int (lnot !c land 0xffffffff)
+
+(* Random [pos]/[len] cover unaligned word starts and every 0-7 byte
+   tail; a random [init] covers resumed checksums. *)
+let prop_crc_matches_bitwise =
+  QCheck.Test.make ~name:"crc32c sub = bit-at-a-time reference" ~count:1000
+    QCheck.(quad (string_of_size Gen.(0 -- 200)) small_nat small_nat int32)
+    (fun (s, a, b, init) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n = pos then 0 else b mod (n - pos + 1) in
+      Crc32c.sub ~init s ~pos ~len = crc32c_bitwise ~init s ~pos ~len)
+
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc32c ~init chains across a split" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 100)))
+    (fun (a, b) ->
+      let ab = a ^ b in
+      Crc32c.sub ~init:(Crc32c.string a) ab ~pos:(String.length a) ~len:(String.length b)
+      = Crc32c.string ab)
 
 let test_crc_sub () =
   let s = "abcdefgh" in
@@ -338,5 +374,7 @@ let suite =
     qt prop_lp_string_roundtrip;
     qt prop_mixed_stream;
     qt prop_crc_detects_flip;
+    qt prop_crc_matches_bitwise;
+    qt prop_crc_chaining;
     qt prop_separator_sound;
   ]
