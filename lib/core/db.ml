@@ -1320,8 +1320,9 @@ type probe_outcome =
 (* Probe disk runs in recency order, returning the newest visible point
    entry; accounts filter statistics when [record] (pool domains pass
    false — the counters are not domain-safe, and multi_get aggregates on
-   the calling domain instead). *)
-let probe_tables t ~v ~snap ~record key =
+   the calling domain instead). [probes] counts this lookup's own probes,
+   exact even when other domains bump the shared counters meanwhile. *)
+let probe_tables t ~v ~snap ~record ~probes key =
   let cmp = cmp_of t in
   let result = ref None in
   (try
@@ -1341,6 +1342,7 @@ let probe_tables t ~v ~snap ~record key =
                  t.db_stats.Stats.filter_negatives <- t.db_stats.Stats.filter_negatives + 1
              end
              else begin
+               incr probes;
                if record then t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + 1;
                match Sstable.get reader ~cls:Io_stats.C_user_read ~max_seqno:snap key with
                | Some e -> begin
@@ -1469,7 +1471,7 @@ let capture_read_ctx t ?snapshot () =
    clock/statistics bookkeeping: shared by {!get} (record = true) and
    both paths of {!multi_get} (record = false on pool domains — the
    counters are not domain-safe; the caller aggregates instead). *)
-let lookup_in_ctx t ctx ~record key =
+let lookup_in_ctx t ctx ~record ?(probes = ref 0) key =
   let { rc_snap = snap; rc_active = active; rc_immutables = immutables;
         rc_version = v; rc_rds = table_rds } = ctx in
   let rd_seq = covering_rd_seqno t ~active ~immutables ~table_rds ~snap key in
@@ -1487,7 +1489,7 @@ let lookup_in_ctx t ctx ~record key =
       match try_immutables immutables with
       | Found e -> Found e
       | Absent -> (
-        match probe_tables t ~v ~snap ~record key with Some e -> Found e | None -> Absent))
+        match probe_tables t ~v ~snap ~record ~probes key with Some e -> Found e | None -> Absent))
   in
   match newest with
   | Absent -> None
@@ -1505,13 +1507,14 @@ let get t ?snapshot key =
   check_open t;
   ignore (Atomic.fetch_and_add t.clock 1);
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + 1;
-  let probes_before = t.db_stats.Stats.runs_probed in
+  (* Counted per call: a delta of the shared [runs_probed] goes negative
+     when gets on other domains race its unsynchronised increments. *)
+  let probes = ref 0 in
   let result =
     with_pin t (fun () ->
-        lookup_in_ctx t (capture_read_ctx t ?snapshot ()) ~record:true key)
+        lookup_in_ctx t (capture_read_ctx t ?snapshot ()) ~record:true ~probes key)
   in
-  Lsm_util.Histogram.add t.db_stats.Stats.get_run_probes
-    (t.db_stats.Stats.runs_probed - probes_before);
+  Lsm_util.Histogram.add t.db_stats.Stats.get_run_probes !probes;
   if result <> None then t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + 1;
   result
 

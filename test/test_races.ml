@@ -231,6 +231,30 @@ let test_get_monotonic_under_batches () =
   Db.quiesce db;
   Db.close db
 
+(* Gets from several domains on keys that live in tables. The shared
+   probe counter is bumped without synchronisation, so a get that sized
+   its own probe count as a delta of it could see a negative delta and
+   raise from the histogram; each get must count its own probes. *)
+let test_concurrent_table_gets () =
+  let dev = Device.in_memory () in
+  let db = Db.open_db ~config:{ Config.default with wal_enabled = false } ~dev () in
+  for i = 0 to 255 do
+    Db.put db ~key:(key i) (value 0 i)
+  done;
+  Db.flush db;
+  let wrong = Atomic.make 0 in
+  let reader seed =
+    Domain.spawn (fun () ->
+        let rng = Rng.create seed in
+        for _ = 1 to 150_000 do
+          let i = Rng.int rng 256 in
+          if Db.get db (key i) <> Some (value 0 i) then Atomic.incr wrong
+        done)
+  in
+  List.iter Domain.join (List.init 2 (fun d -> reader (7 + d)));
+  check_int "every get found its value" 0 (Atomic.get wrong);
+  Db.close db
+
 let suite =
   [
     Alcotest.test_case "snapshot registry survives multi-domain churn" `Slow
@@ -243,4 +267,5 @@ let suite =
       test_torn_mget_pool;
     Alcotest.test_case "get never regresses under concurrent batches" `Slow
       test_get_monotonic_under_batches;
+    Alcotest.test_case "concurrent gets on tables never raise" `Quick test_concurrent_table_gets;
   ]
