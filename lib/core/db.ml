@@ -175,35 +175,46 @@ let quarantine_of_meta (f : Table_meta.t) detail =
    through to an older run would silently serve a stale version of the
    key, which is exactly the wrong-data outcome quarantine exists to
    prevent. *)
-let raise_quarantined t (f : Table_meta.t) =
-  match
-    List.find_opt
-      (fun q -> String.equal q.q_file f.Table_meta.file_name)
-      (Atomic.get t.quarantined)
-  with
-  | Some q ->
-    raise (Lsm_error.corruption ~file:q.q_file ("table is quarantined: " ^ q.q_detail))
-  | None -> ()
+let rec raise_quarantined_in name = function
+  | [] -> ()
+  | q :: rest ->
+    if String.equal q.q_file name then
+      raise (Lsm_error.corruption ~file:q.q_file ("table is quarantined: " ^ q.q_detail))
+    else raise_quarantined_in name rest
 
-(* Every read touching table [f] goes through this guard: a decode
-   failure — or a referenced file that has vanished — quarantines the
-   table, degrades health, and surfaces as a typed error. *)
-let guard_table_read t (f : Table_meta.t) fn =
+let raise_quarantined t (f : Table_meta.t) =
+  raise_quarantined_in f.Table_meta.file_name (Atomic.get t.quarantined)
+
+(* Every read touching table [f] goes through {!guard_table_read} (or,
+   on the point-lookup path, calls [fail_table_read] from its own
+   handler): a decode failure — or a referenced file that has vanished —
+   quarantines the table, degrades health, and surfaces as a typed
+   error. Any other exception passes through unchanged. Must be called
+   first thing in the handler, while the backtrace is still [e]'s. *)
+let fail_table_read t (f : Table_meta.t) e =
+  let bt = Printexc.get_raw_backtrace () in
   let quarantine detail =
     note_corruption t;
     add_quarantine t (quarantine_of_meta f detail)
   in
-  try fn () with
-  | Lsm_error.Error (Lsm_error.Corruption _ as c) as e ->
-    quarantine (Lsm_error.to_string c);
-    raise e
-  | Lsm_util.Codec.Corrupt msg ->
-    quarantine msg;
-    raise (Lsm_error.corruption ~file:f.Table_meta.file_name msg)
-  | Not_found ->
-    let detail = "referenced table missing" in
-    quarantine detail;
-    raise (Lsm_error.corruption ~file:f.Table_meta.file_name detail)
+  let e =
+    match e with
+    | Lsm_error.Error (Lsm_error.Corruption _ as c) ->
+      quarantine (Lsm_error.to_string c);
+      e
+    | Lsm_util.Codec.Corrupt msg ->
+      quarantine msg;
+      Lsm_error.corruption ~file:f.Table_meta.file_name msg
+    | Not_found ->
+      let detail = "referenced table missing" in
+      quarantine detail;
+      Lsm_error.corruption ~file:f.Table_meta.file_name detail
+    | e -> e
+  in
+  Printexc.raise_with_backtrace e bt
+
+let guard_table_read t (f : Table_meta.t) fn =
+  match fn () with v -> v | exception e -> fail_table_read t f e
 
 let wal_name_of n = Printf.sprintf "wal-%06d.log" n
 
@@ -906,8 +917,7 @@ let plan_of_job t job =
         { files = [ f ]; target_level = target; target_group = leveled_target_group t target }
     else begin
       let input_runs =
-        [ { Version.group = max_int; files = [ f ] };
-          { Version.group = 0; files = overlapping } ]
+        [ Version.make_run ~group:max_int [ f ]; Version.make_run ~group:0 overlapping ]
       in
       P_merge
         (plan_merge t ~input_runs ~extra_removed:[] ~target_level:target
@@ -955,7 +965,7 @@ let key_of_job t job =
     let overlapping =
       Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
     in
-    span l [ { Version.group = 0; files = f :: overlapping } ]
+    span l [ Version.make_run ~group:0 (f :: overlapping) ]
 
 (* One compaction step on the calling domain; no lane coordination —
    [schedule_compactions] runs this from inside background jobs. The
@@ -1297,67 +1307,60 @@ let covering_rd_seqno t ~active ~immutables ~table_rds ~snap key =
   List.iter consider table_rds;
   !best
 
-(* Binary search the file of a sorted run that may hold [key]. *)
-let find_file_in_run (cmp : Comparator.t) (r : Version.run) key =
-  let files = Array.of_list r.Version.files in
-  let n = Array.length files in
-  (* last file with min_key <= key *)
-  let lo = ref 0 and hi = ref (n - 1) in
-  if n = 0 || cmp.compare files.(0).Table_meta.min_key key > 0 then None
-  else begin
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if cmp.compare files.(mid).Table_meta.min_key key <= 0 then lo := mid else hi := mid - 1
-    done;
-    let f = files.(!lo) in
-    if cmp.compare key f.Table_meta.max_key <= 0 then Some f else None
-  end
-
 type probe_outcome =
   | Found of Entry.t
   | Absent  (** nothing for this key in this source *)
 
-(* Probe disk runs in recency order, returning the newest visible point
-   entry; accounts filter statistics when [record] (pool domains pass
-   false — the counters are not domain-safe, and multi_get aggregates on
-   the calling domain instead). [probes] counts this lookup's own probes,
-   exact even when other domains bump the shared counters meanwhile. *)
+(* One run's step of a point lookup: the table of the run at index [i]
+   (found by key range, so a quarantined hit means the key lives in the
+   fenced range), probed with a single filter check. Written without
+   closures: a filter negative allocates only the 3-word hash pair and
+   what the table-cache hit allocates. *)
+let probe_run_file t ~snap (r : Version.run) i key =
+  let f = r.Version.file_array.(i) in
+  raise_quarantined t f;
+  match
+    Sstable.probe
+      (Table_cache.get t.tables f.Table_meta.file_name)
+      ~cls:Io_stats.C_user_read ~max_seqno:snap key
+  with
+  | outcome -> outcome
+  | exception e -> fail_table_read t f e
+
+(* Probe disk runs in recency order (level asc, newest run first),
+   returning the newest visible point entry; accounts filter statistics
+   when [record] (pool domains pass false — the counters are not
+   domain-safe, and multi_get aggregates on the calling domain instead).
+   [probes] counts this lookup's own probes, exact even when other
+   domains bump the shared counters meanwhile. *)
+let rec probe_runs t ~v ~snap ~record ~probes key l = function
+  | [] ->
+    if l + 1 >= Version.max_levels then None
+    else probe_runs t ~v ~snap ~record ~probes key (l + 1) (Version.level_runs v (l + 1))
+  | r :: rest -> (
+    let i = Version.find_file_in_run ~cmp:(cmp_of t) r key in
+    if i < 0 then probe_runs t ~v ~snap ~record ~probes key l rest
+    else
+      match probe_run_file t ~snap r i key with
+      | Sstable.Filtered ->
+        if record then
+          t.db_stats.Stats.filter_negatives <- t.db_stats.Stats.filter_negatives + 1;
+        probe_runs t ~v ~snap ~record ~probes key l rest
+      | Sstable.Missing ->
+        incr probes;
+        if record then begin
+          t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + 1;
+          t.db_stats.Stats.filter_false_positives <-
+            t.db_stats.Stats.filter_false_positives + 1
+        end;
+        probe_runs t ~v ~snap ~record ~probes key l rest
+      | Sstable.Hit e ->
+        incr probes;
+        if record then t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + 1;
+        Some e)
+
 let probe_tables t ~v ~snap ~record ~probes key =
-  let cmp = cmp_of t in
-  let result = ref None in
-  (try
-     for l = 0 to Version.max_levels - 1 do
-       List.iter
-         (fun (r : Version.run) ->
-           match find_file_in_run cmp r key with
-           | None -> ()
-           | Some f -> (
-             (* [find_file_in_run] selected [f] by key range, so a
-                quarantined hit means the key lives in the fenced range. *)
-             raise_quarantined t f;
-             guard_table_read t f @@ fun () ->
-             let reader = Table_cache.get t.tables f.Table_meta.file_name in
-             if not (Sstable.may_contain_key reader key) then begin
-               if record then
-                 t.db_stats.Stats.filter_negatives <- t.db_stats.Stats.filter_negatives + 1
-             end
-             else begin
-               incr probes;
-               if record then t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + 1;
-               match Sstable.get reader ~cls:Io_stats.C_user_read ~max_seqno:snap key with
-               | Some e -> begin
-                 result := Some e;
-                 raise Exit
-               end
-               | None ->
-                 if record then
-                   t.db_stats.Stats.filter_false_positives <-
-                     t.db_stats.Stats.filter_false_positives + 1
-             end))
-         (Version.level_runs v l)
-     done
-   with Exit -> ());
-  !result
+  probe_runs t ~v ~snap ~record ~probes key 0 (Version.level_runs v 0)
 
 (* Resolve a merge chain by iterating every visible version of [key],
    newest first. Used only when the newest visible entry is a Merge. *)
@@ -1369,11 +1372,12 @@ let resolve_merge_chain t ~v ~active ~immutables ~snap ~rd_seq key =
         (fun l ->
           List.map
             (fun (r : Version.run) ->
-              match find_file_in_run cmp r key with
-              | Some f ->
-                Sstable.iterator (Table_cache.get t.tables f.Table_meta.file_name)
-                  ~cls:Io_stats.C_user_read ()
-              | None -> Iter.empty)
+              match Version.find_file_in_run ~cmp r key with
+              | -1 -> Iter.empty
+              | i ->
+                Sstable.iterator
+                  (Table_cache.get t.tables r.Version.file_array.(i).Table_meta.file_name)
+                  ~cls:Io_stats.C_user_read ())
             (Version.level_runs v l))
         (List.init Version.max_levels Fun.id)
   in

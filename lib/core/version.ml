@@ -2,7 +2,10 @@ module Table_meta = Lsm_sstable.Table_meta
 module Codec = Lsm_util.Codec
 module Comparator = Lsm_util.Comparator
 
-type run = { group : int; files : Table_meta.t list }
+type run = { group : int; files : Table_meta.t list; file_array : Table_meta.t array }
+
+let make_run ~group files = { group; files; file_array = Array.of_list files }
+
 type level = run list
 
 type t = {
@@ -43,7 +46,9 @@ let apply t edit =
                       else true)
                     r.files
                 in
-                if files = [] then None else Some { r with files })
+                if files = [] then None
+                else if List.length files = Array.length r.file_array then Some r
+                else Some (make_run ~group:r.group files))
               runs
           in
           levels.(li) <- runs')
@@ -56,15 +61,15 @@ let apply t edit =
       if li < 0 || li >= max_levels then invalid_arg "Version.apply: level out of range";
       let runs = levels.(li) in
       let rec insert = function
-        | [] -> [ { group; files = [ meta ] } ]
+        | [] -> [ make_run ~group [ meta ] ]
         | r :: rest when r.group = group ->
           let files =
             List.sort
               (fun (a : Table_meta.t) (b : Table_meta.t) -> String.compare a.min_key b.min_key)
               (meta :: r.files)
           in
-          { r with files } :: rest
-        | r :: rest when r.group < group -> { group; files = [ meta ] } :: r :: rest
+          make_run ~group files :: rest
+        | r :: rest when r.group < group -> make_run ~group [ meta ] :: r :: rest
         | r :: rest -> r :: insert rest
       in
       levels.(li) <- insert runs)
@@ -131,6 +136,21 @@ let find_file t fid =
         runs)
     t.levels;
   !result
+
+(* Last file whose min_key <= key, if its max_key >= key too: the only
+   file of the run that may hold [key], or -1. Allocates nothing. *)
+let find_file_in_run ~(cmp : Comparator.t) r key =
+  let files = r.file_array in
+  let n = Array.length files in
+  if n = 0 || cmp.compare files.(0).Table_meta.min_key key > 0 then -1
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if cmp.compare files.(mid).Table_meta.min_key key <= 0 then lo := mid else hi := mid - 1
+    done;
+    if cmp.compare key files.(!lo).Table_meta.max_key <= 0 then !lo else -1
+  end
 
 let files_of_run_overlapping ~cmp ~lo ~hi run =
   List.filter

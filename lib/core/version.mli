@@ -12,7 +12,17 @@
 
 module Table_meta = Lsm_sstable.Table_meta
 
-type run = { group : int; files : Table_meta.t list (* key-ascending *) }
+type run = private {
+  group : int;
+  files : Table_meta.t list;  (** key-ascending *)
+  file_array : Table_meta.t array;  (** [files] as an array, for point lookups *)
+}
+
+val make_run : group:int -> Table_meta.t list -> run
+(** A run of key-ascending, non-overlapping [files]. Runs are immutable:
+    the array is built once here, so a lookup binary-searches it
+    without copying anything. *)
+
 type level = run list (* newest group first *)
 
 type t = {
@@ -61,6 +71,10 @@ val runs_overlapping :
   (int * run) list
 (** All (level, run) pairs possibly intersecting the key range, in probe
     order (level asc, newest run first). [hi = None] = unbounded. *)
+
+val find_file_in_run : cmp:Lsm_util.Comparator.t -> run -> string -> int
+(** Index in [file_array] of the only file of the run whose key range
+    holds the key, or [-1]. A binary search that allocates nothing. *)
 
 val files_of_run_overlapping :
   cmp:Lsm_util.Comparator.t -> lo:string -> hi:string option -> run ->

@@ -34,23 +34,21 @@ let add t key =
     done
   end
 
+(* A while loop, not a local [let rec]: the closure over [pos] would
+   cost 8 words on every probe. *)
 let mem t key =
-  if t.nbits = 0 then true
-  else begin
-    let h1, h2 = Hashing.double_hash key in
-    let pos = ref (h1 mod t.nbits) in
-    let step = h2 mod t.nbits in
-    let rec loop i =
-      if i > t.k then true
-      else if not (get_bit t.bits !pos) then false
-      else begin
-        pos := !pos + step;
-        if !pos >= t.nbits then pos := !pos - t.nbits;
-        loop (i + 1)
-      end
-    in
-    loop 1
-  end
+  t.nbits = 0
+  ||
+  let h1, h2 = Hashing.double_hash key in
+  let pos = ref (h1 mod t.nbits) in
+  let step = h2 mod t.nbits in
+  let i = ref 1 in
+  while !i <= t.k && get_bit t.bits !pos do
+    pos := !pos + step;
+    if !pos >= t.nbits then pos := !pos - t.nbits;
+    incr i
+  done;
+  !i > t.k
 
 let bit_count t = t.nbits
 let num_probes t = t.k

@@ -364,13 +364,9 @@ let probe_frags t ~cls key frags =
         t.cfg.comparator.Comparator.compare f.min_key key <= 0
         && t.cfg.comparator.Comparator.compare key f.max_key <= 0
       then begin
-        let reader = Table_cache.get t.tables f.file_name in
-        if Sstable.may_contain_key reader key then begin
-          match Sstable.get reader ~cls key with
-          | Some e -> Some e
-          | None -> loop rest
-        end
-        else loop rest
+        match Sstable.get (Table_cache.get t.tables f.file_name) ~cls key with
+        | Some e -> Some e
+        | None -> loop rest
       end
       else loop rest
   in

@@ -60,16 +60,18 @@ module Builder = struct
   let count t = t.count
   let is_empty t = t.count = 0
 
-  let finish t =
+  let finish ?tag t =
     List.iter (Codec.put_u32 t.buf) (List.rev t.restarts);
     Codec.put_u32 t.buf t.nrestarts;
     let n = Buffer.length t.buf in
-    let block = Bytes.create (n + 4) in
-    Buffer.blit t.buf 0 block 0 n;
+    let base = match tag with Some _ -> 1 | None -> 0 in
+    let block = Bytes.create (base + n + 4) in
+    Option.iter (Bytes.set block 0) tag;
+    Buffer.blit t.buf 0 block base n;
     (* The CRC reads the body in place through a temporary string view
        that it does not retain; the trailer is written after it returns. *)
-    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string block) ~pos:0 ~len:n) in
-    Bytes.set_int32_le block n crc;
+    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string block) ~pos:base ~len:n) in
+    Bytes.set_int32_le block (base + n) crc;
     Buffer.clear t.buf;
     t.restarts <- [];
     t.nrestarts <- 0;

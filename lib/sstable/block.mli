@@ -32,8 +32,11 @@ module Builder : sig
   val count : t -> int
   val is_empty : t -> bool
 
-  val finish : t -> string
-  (** Encodes, seals, and resets the builder for the next block. *)
+  val finish : ?tag:char -> t -> string
+  (** Encodes, seals, and resets the builder for the next block. With
+      [tag], the sealed block follows that one frame byte in the same
+      buffer — the layout [parse_checked ~base:1] reads — so framing
+      needs no second copy. *)
 end
 
 val decode_check : string -> string

@@ -143,12 +143,14 @@ let default_build_config =
     ecc = None;
   }
 
-(* Per-block frame: [u8 tag | payload] with tag 0 = raw block, or
-   [u8 1 | varint raw_len | lz payload]. *)
-let frame_block compression data =
+(* Seal the builder's block into its frame: [u8 tag | payload] with
+   tag 0 = raw block, or [u8 1 | varint raw_len | lz payload]. A raw
+   frame is sealed behind its tag byte in place, with no extra copy. *)
+let frame_block compression block =
   match compression with
-  | C_none -> "\x00" ^ data
+  | C_none -> Block.Builder.finish ~tag:'\x00' block
   | C_lz ->
+    let data = Block.Builder.finish block in
     let packed = Lsm_util.Lz.compress data in
     if String.length packed + 8 >= String.length data then "\x00" ^ data
     else begin
@@ -327,7 +329,7 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
   in
   let finish_block last_key_of_block =
     if not (Block.Builder.is_empty block) then begin
-      let data = frame_block config.compression (Block.Builder.finish block) in
+      let data = frame_block config.compression block in
       pending := Some (last_key_of_block, !block_off, String.length data, !block_first);
       emit data;
       block_off := !block_off + String.length data
@@ -730,8 +732,8 @@ let decode_block t (ie : index_entry) raw =
 (* Record-level decode happens lazily, after the block-level CRC has
    passed; a [Codec.Corrupt] escaping a cursor at that point still has
    to surface as a typed corruption pinned to this block. *)
-let run_typed t (ie : index_entry) f =
-  try f () with
+let run_typed t (ie : index_entry) f x =
+  try f x with
   | Codec.Corrupt d ->
     raise (Lsm_error.corruption ~file:t.rname ~offset:ie.off ("data block: " ^ d))
 
@@ -779,16 +781,16 @@ let with_block t ~cls ~use_cache (ie : index_entry) f =
   let fetch_fresh () = read_block_repairing t ~cls ie in
   match Block_cache.find t.cache ~file:t.rname ~off:ie.off with
   | Some p -> (
-    try run_typed t ie (fun () -> f p)
+    try run_typed t ie f p
     with Lsm_error.Error (Lsm_error.Corruption _) ->
       Block_cache.remove t.cache ~file:t.rname ~off:ie.off;
       let p = fetch_fresh () in
       if use_cache then cache_insert t ie p;
-      run_typed t ie (fun () -> f p))
+      run_typed t ie f p)
   | None ->
     let p = fetch_fresh () in
     if use_cache then cache_insert t ie p;
-    run_typed t ie (fun () -> f p)
+    run_typed t ie f p
 
 (* First index slot whose fence key is >= target: the only block that can
    contain [target]. *)
@@ -801,31 +803,37 @@ let index_seek t target =
   done;
   !lo
 
-(* Point lookup on the zero-copy path: [Block.find] positions a cursor
-   without building an iterator, the version walk compares and inspects
-   borrowed views, and [Cursor.entry] materializes only the one record
-   the read actually returns. *)
-let get t ~cls ?(max_seqno = max_int) key =
-  if not (may_contain_key t key) then None
+type probe = Filtered | Missing | Hit of Entry.t
+
+(* The newest version of [key] at or below [max_seqno] in one parsed
+   block, skipping range tombstones. A loop rather than a local
+   [let rec], which would allocate a closure per call. *)
+let search_block t ~max_seqno key p =
+  let cur = Block.find t.cmp p key in
+  let result = ref Missing in
+  while
+    !result == Missing && Block.Cursor.valid cur && Block.Cursor.key_compare cur key = 0
+  do
+    if Block.Cursor.seqno cur <= max_seqno && Block.Cursor.kind cur <> Entry.Range_delete then
+      result := Hit (Block.Cursor.entry cur)
+    else Block.Cursor.next cur
+  done;
+  !result
+
+(* Point lookup on the zero-copy path: one filter check, then
+   [Block.find] positions a cursor without building an iterator, the
+   version walk compares and inspects borrowed views, and
+   [Cursor.entry] materializes only the one record the read returns. *)
+let probe t ~cls ~max_seqno key =
+  if not (may_contain_key t key) then Filtered
   else begin
     let slot = index_seek t key in
-    if slot >= Array.length t.index then None
-    else
-      with_block t ~cls ~use_cache:true t.index.(slot) (fun p ->
-          let cur = Block.find t.cmp p key in
-          let rec walk () =
-            if not (Block.Cursor.valid cur) then None
-            else if Block.Cursor.key_compare cur key <> 0 then None
-            else if
-              Block.Cursor.seqno cur <= max_seqno && Block.Cursor.kind cur <> Entry.Range_delete
-            then Some (Block.Cursor.entry cur)
-            else begin
-              Block.Cursor.next cur;
-              walk ()
-            end
-          in
-          walk ())
+    if slot >= Array.length t.index then Missing
+    else with_block t ~cls ~use_cache:true t.index.(slot) (search_block t ~max_seqno key)
   end
+
+let get t ~cls ?(max_seqno = max_int) key =
+  match probe t ~cls ~max_seqno key with Hit e -> Some e | Filtered | Missing -> None
 
 (* A block iterator that escapes [with_block] keeps decoding records
    lazily; wrap its operations so a stray [Codec.Corrupt] surfaces as a
@@ -833,10 +841,10 @@ let get t ~cls ?(max_seqno = max_int) key =
 let typed_iter t ie (it : Iter.t) =
   {
     Iter.valid = it.Iter.valid;
-    entry = (fun () -> run_typed t ie it.Iter.entry);
-    next = (fun () -> run_typed t ie it.Iter.next);
-    seek = (fun target -> run_typed t ie (fun () -> it.Iter.seek target));
-    seek_to_first = (fun () -> run_typed t ie it.Iter.seek_to_first);
+    entry = (fun () -> run_typed t ie it.Iter.entry ());
+    next = (fun () -> run_typed t ie it.Iter.next ());
+    seek = (fun target -> run_typed t ie it.Iter.seek target);
+    seek_to_first = (fun () -> run_typed t ie it.Iter.seek_to_first ());
   }
 
 let iterator t ~cls ?(use_cache = true) () =

@@ -116,6 +116,17 @@ val may_contain_key : reader -> string -> bool
 val may_overlap_range : reader -> lo:string -> hi:string option -> bool
 (** Key-range check against (min_key, max_key) and the range filter. *)
 
+type probe =
+  | Filtered  (** the key range or the point filter rejected the key; no I/O *)
+  | Missing  (** the filter admitted the key but no visible version is stored *)
+  | Hit of Lsm_record.Entry.t  (** the newest visible version, as {!get} returns it *)
+
+val probe :
+  reader -> cls:Lsm_storage.Io_stats.op_class -> max_seqno:int -> string -> probe
+(** One point lookup that checks the filter once and says which way it
+    went: a [Missing] outcome is a filter false positive. {!get} is
+    [probe] with the outcome folded into an option. *)
+
 val get :
   reader ->
   cls:Lsm_storage.Io_stats.op_class ->

@@ -346,7 +346,13 @@ let append w s =
   let s, tripped = append_prefix_on_plan w s in
   (match w.sink with
   | Mem_sink f ->
-    if f.sealed then invalid_arg "Device.append: file sealed (crashed?)";
+    if f.sealed then begin
+      (* A crash on another domain sealed the file after [check_alive]
+         passed: this append lost the race to the power cut and fails as
+         a crash. Only a writer left over from before a revive is misuse. *)
+      if locked w.dev (fun () -> w.dev.is_crashed) then raise Crashed;
+      invalid_arg "Device.append: file sealed (crashed?)"
+    end;
     Buffer.add_string f.buf s
   | Disk_sink oc -> output_string oc s);
   account_write w (String.length s);

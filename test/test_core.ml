@@ -551,6 +551,73 @@ let test_filters_cut_probes () =
     true
     (with_bloom * 5 < without || without = 0)
 
+(* Four flushes into level 0, with the buffer large enough that only
+   the explicit flushes rotate it and compaction held off: flush j writes
+   the ids i with i mod 4 = j, so every run spans nearly the whole key
+   range and the runs overlap. A get visits the runs whose key range
+   holds its key, newest first, and stops at the run holding the key;
+   each visited run is either a filter negative or a probe. So the
+   counters must move by exactly that many runs — checked for present
+   keys (hit in each run), absent keys inside every run, and keys only
+   the oldest run's range holds. *)
+let test_get_counts_each_run_once () =
+  let base = small_config () in
+  let config =
+    {
+      base with
+      Config.write_buffer_size = 1 lsl 20;
+      compaction = { base.Config.compaction with Policy.level0_limit = 64 };
+    }
+  in
+  let _, db = fresh ~config () in
+  let n = 400 in
+  for j = 0 to 3 do
+    for i = 0 to n - 1 do
+      if i mod 4 = j then Db.put db ~key:(key i) (value i)
+    done;
+    Db.flush db
+  done;
+  let v = Db.version db in
+  let runs = List.concat_map (Version.level_runs v) (List.init Version.max_levels Fun.id) in
+  check_int "one run per flush" 4 (List.length runs);
+  let holds (r : Version.run) k =
+    List.exists
+      (fun (f : Lsm_sstable.Table_meta.t) -> f.min_key <= k && k <= f.max_key)
+      r.Version.files
+  in
+  (* Runs in probe order whose range holds [k], up to the one storing
+     it: [stored] is the flush that wrote it, the newest run being flush 3. *)
+  let expected k ~stored =
+    let rec go pos = function
+      | [] -> 0
+      | r :: rest ->
+        let here = if holds r k then 1 else 0 in
+        if Some (3 - pos) = stored && here = 1 then here else here + go (pos + 1) rest
+    in
+    go 0 runs
+  in
+  let st = Db.stats db in
+  let get_moves k ~stored want =
+    let neg0 = st.Stats.filter_negatives and rp0 = st.Stats.runs_probed in
+    let fp0 = st.Stats.filter_false_positives in
+    let got = Db.get db k in
+    check_opt ("value of " ^ k) want got;
+    let neg = st.Stats.filter_negatives - neg0 and rp = st.Stats.runs_probed - rp0 in
+    let fp = st.Stats.filter_false_positives - fp0 in
+    check_int ("runs visited for " ^ k) (expected k ~stored) (neg + rp);
+    check_int ("probes of " ^ k ^ " = false positives + hit")
+      (fp + if got = None then 0 else 1) rp
+  in
+  for i = 100 to 139 do
+    get_moves (key i) ~stored:(Some (i mod 4)) (Some (value i));
+    get_moves (key i ^ "~") ~stored:None None
+  done;
+  check_int "only the oldest run holds key 0's neighbour" 1
+    (expected (key 0 ^ "~") ~stored:None);
+  get_moves (key 0 ^ "~") ~stored:None None;
+  get_moves (key 0) ~stored:(Some 0) (Some (value 0));
+  Db.close db
+
 let test_paranoid_invariants_hold () =
   let _, db = fresh () in
   (* paranoid_checks is on in small_config: any violation would raise. *)
@@ -684,6 +751,7 @@ let suite =
     ("stats accounting", `Quick, test_stats_accounting);
     ("write amp reported", `Quick, test_write_amp_reported);
     ("filters cut probes", `Quick, test_filters_cut_probes);
+    ("get counts each run once", `Quick, test_get_counts_each_run_once);
     ("paranoid invariants hold", `Quick, test_paranoid_invariants_hold);
     ("space amp shrinks with compaction", `Quick, test_space_amp_shrinks_with_compaction);
   ]

@@ -226,6 +226,62 @@ let test_version_edit_roundtrip () =
   let got = Version.decode_edit (Codec.reader (Buffer.contents b)) in
   check "roundtrip" true (got = edit)
 
+(* Random add/remove edit sequences. File [id] spans keys
+   [k(10 id), k(10 id + 5)], so files never overlap and every run is a
+   valid sorted run whatever the edits. After each edit, every run's
+   array must equal its list, and the binary search over the array must
+   pick the same file as a linear scan of the list — for keys inside
+   files, in the gaps between them, and past both ends. *)
+let prop_version_run_arrays =
+  let k i = Printf.sprintf "k%05d" i in
+  let linear (r : Version.run) key =
+    let rec go i = function
+      | [] -> -1
+      | (f : Table_meta.t) :: rest ->
+        if String.compare f.min_key key <= 0 && String.compare key f.max_key <= 0 then i
+        else go (i + 1) rest
+    in
+    go 0 r.Version.files
+  in
+  QCheck.Test.make ~name:"version run arrays track lists; find_file_in_run = linear scan"
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 40) (triple (int_bound 3) (int_bound 4) (int_bound 9)))
+    (fun ops ->
+      let next_id = ref 1 in
+      let step v (level, group, choice) =
+        let live = Version.all_files v in
+        let edit =
+          if choice < 3 && live <> [] then
+            let (f : Table_meta.t) = List.nth live (choice mod List.length live) in
+            { Version.added = []; removed = [ f.file_id ]; seqno_watermark = 0 }
+          else begin
+            let id = !next_id in
+            incr next_id;
+            let f = meta id (k (10 * id)) (k ((10 * id) + 5)) in
+            { Version.added = [ (level, group + 1, f) ]; removed = []; seqno_watermark = 0 }
+          end
+        in
+        let v = Version.apply v edit in
+        for l = 0 to Version.max_levels - 1 do
+          List.iter
+            (fun (r : Version.run) ->
+              if Array.to_list r.Version.file_array <> r.Version.files then
+                QCheck.Test.fail_reportf "level %d group %d: array differs from list" l
+                  r.Version.group;
+              List.iter
+                (fun key ->
+                  let got = Version.find_file_in_run ~cmp r key and want = linear r key in
+                  if got <> want then
+                    QCheck.Test.fail_reportf "level %d group %d key %S: search %d, scan %d" l
+                      r.Version.group key got want)
+                ("" :: List.init ((10 * !next_id) + 10) k))
+            (Version.level_runs v l)
+        done;
+        v
+      in
+      ignore (List.fold_left step Version.empty ops);
+      true)
+
 (* ---------- manifest ---------- *)
 
 let test_manifest_recover_replays_edits () =
@@ -334,4 +390,5 @@ let suite =
     ("manifest missing = empty", `Quick, test_manifest_missing_is_empty);
     ("manifest torn tail ignored", `Quick, test_manifest_torn_tail_ignored);
     qt prop_merge_filter_preserves_visibility;
+    qt prop_version_run_arrays;
   ]

@@ -82,6 +82,40 @@ let test_exception_releases_lock () =
   Alcotest.(check (list string)) "released on raise" [] (Om.held_names ());
   Om.with_lock m (fun () -> ())
 
+(* The body's exception reaches the caller as the same value, with the
+   backtrace of its raise point, and the lock is free again — checked
+   with tracking off and on. A lock left held would make the second
+   [with_lock] fail (OCaml mutexes are error-checking) instead of
+   returning. *)
+exception Boom of int
+
+let test_with_lock_reraises_same_exception () =
+  let prev_bt = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace prev_bt) @@ fun () ->
+  List.iter
+    (fun enforce ->
+      with_enforce enforce @@ fun () ->
+      let m = db_m () in
+      let sent = Boom 7 and line = ref 0 in
+      (match Om.with_lock m (fun () -> line := __LINE__; raise sent) with
+      | () -> Alcotest.fail "with_lock swallowed the exception"
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Alcotest.(check bool) "same exception value" true (e == sent);
+        let raise_line =
+          match Printexc.backtrace_slots bt with
+          | Some slots when Array.length slots > 0 ->
+            Option.map
+              (fun (l : Printexc.location) -> l.line_number)
+              (Printexc.Slot.location slots.(0))
+          | _ -> None
+        in
+        Alcotest.(check (option int)) "backtrace starts at the raise" (Some !line) raise_line);
+      Alcotest.(check (list string)) "nothing held" [] (Om.held_names ());
+      Alcotest.(check int) "lock free again" 1 (Om.with_lock m (fun () -> 1)))
+    [ false; true ]
+
 let test_enforcement_off_is_silent () =
   (* Pause graph recording: this test's deliberate inversion must not
      leak into a CI-configured LSM_LOCKDEP_GRAPH file as a fake cycle. *)
@@ -227,6 +261,8 @@ let suite =
     Alcotest.test_case "re-entrancy detected" `Quick test_reentrancy_detected;
     Alcotest.test_case "violation leaves no residue" `Quick test_violation_leaves_no_residue;
     Alcotest.test_case "exception releases lock" `Quick test_exception_releases_lock;
+    Alcotest.test_case "with_lock re-raises the same exception" `Quick
+      test_with_lock_reraises_same_exception;
     Alcotest.test_case "enforcement off is silent" `Quick test_enforcement_off_is_silent;
     Alcotest.test_case "domain pool under lockdep" `Quick test_domain_pool_under_lockdep;
     Alcotest.test_case "engine smoke under lockdep" `Quick test_engine_under_lockdep;

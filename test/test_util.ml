@@ -167,7 +167,68 @@ let test_fingerprint_range () =
     check "in range" true (fp >= 1 && fp < 256)
   done
 
+(* The original closure-based FNV-1a / splitmix64, kept as the
+   reference the allocation-free [Hashing] must match bit for bit:
+   filter bits on disk, shard placement and seeded workloads all depend
+   on these values. *)
+module Ref_hash = struct
+  let splitmix64 z =
+    let z = Int64.add z 0x9e3779b97f4a7c15L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let fnv1a64 s =
+    let prime = 0x100000001b3L in
+    let h = ref 0xcbf29ce484222325L in
+    String.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime) s;
+    !h
+
+  let string64 ?(seed = 0L) s = splitmix64 (Int64.logxor (fnv1a64 s) seed)
+  let mask62 = (1 lsl 62) - 1
+
+  let double_hash s =
+    let h = string64 s in
+    (Int64.to_int h land mask62, Int64.to_int (splitmix64 h) land mask62 lor 1)
+
+  let fingerprint s ~bits =
+    let h = Int64.to_int (string64 ~seed:0x5bd1e995L s) in
+    let fp = (h lsr 7) land ((1 lsl bits) - 1) in
+    if fp = 0 then 1 else fp
+end
+
+let hash_matches name gen f =
+  QCheck.Test.make ~name:(name ^ " = closure-based reference") ~count:1000 gen f
+
+let str64 = QCheck.string_of_size QCheck.Gen.(0 -- 64)
+
+let props_hash_reference =
+  [
+    hash_matches "double_hash" str64 (fun s -> Hashing.double_hash s = Ref_hash.double_hash s);
+    hash_matches "string64 ?seed" QCheck.(pair str64 int64) (fun (s, seed) ->
+        Hashing.string64 s = Ref_hash.string64 s
+        && Hashing.string64 ~seed s = Ref_hash.string64 ~seed s);
+    hash_matches "fingerprint" QCheck.(pair str64 (int_range 1 30)) (fun (s, bits) ->
+        Hashing.fingerprint s ~bits = Ref_hash.fingerprint s ~bits);
+    hash_matches "splitmix64" QCheck.int64 (fun z ->
+        Hashing.splitmix64 z = Ref_hash.splitmix64 z);
+  ]
+
 (* ---------- Rng ---------- *)
+
+(* The first draws for one seed, recorded before the hashing rewrite:
+   seeded workloads and benchmarks must replay the same streams. *)
+let test_rng_zipf_pinned () =
+  let r = Rng.create 2024 in
+  Alcotest.(check (list int64)) "Rng.int64, seed 2024"
+    [ 5661400481557059422L; 2754421527686347369L; -6991322536814007375L;
+      2180370788829080978L; -27915247091803218L; 4376248499559454705L;
+      363488171019063427L; -3700638538473364320L ]
+    (List.init 8 (fun _ -> Rng.int64 r));
+  let z = Zipf.create 1000 and r = Rng.create 2024 in
+  Alcotest.(check (list int)) "Zipf.next_scrambled, n 1000, seed 2024"
+    [ 74; 657; 295; 823; 267; 302; 823; 300 ]
+    (List.init 8 (fun _ -> Zipf.next_scrambled z r))
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -353,6 +414,7 @@ let suite =
     ("hashing deterministic", `Quick, test_hash_deterministic);
     ("double hash shape", `Quick, test_double_hash_properties);
     ("fingerprint range", `Quick, test_fingerprint_range);
+    ("rng and zipf draws pinned", `Quick, test_rng_zipf_pinned);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng split independence", `Quick, test_rng_split_independent);
@@ -378,3 +440,4 @@ let suite =
     qt prop_crc_chaining;
     qt prop_separator_sound;
   ]
+  @ List.map qt props_hash_reference
