@@ -48,9 +48,9 @@ let hot_hit_words_ceiling = 100.0
    minor words: everything above the block cursor (read context, version
    pin, memtable probe, per-run fence search, filter probe, table and
    block cache lookups) plus the block search itself. Measured 157
-   words/op on a 2-vCPU host with the inline backend and 206 with the
-   background one (its version pin takes a registry lock), once the
-   per-run step stopped allocating; it was 408 with a boxed FNV fold, a
+   words/op on a 2-vCPU host with either backend (the version pin is a
+   lock-free count that allocates nothing), once the per-run step
+   stopped allocating; it was 408 with a boxed FNV fold, a
    closure per filter probe, two filter checks per table and a run list
    copied to an array per get. The slack allows compiler drift, not a
    return of any of those. *)

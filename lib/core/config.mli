@@ -8,11 +8,10 @@
     {[ { Config.default with compaction = Policy.tiered (); write_buffer_size = 1 lsl 20 } ]} *)
 
 type backend =
-  | Inline  (** flush/compaction run synchronously inside the triggering write *)
+  | Inline  (** the maintenance lane at width 0: the triggering write runs it *)
   | Background
-      (** flush/compaction run as jobs on the process-wide scheduler lane;
-          writes return after WAL+memtable and are throttled by
-          backpressure instead of absorbing merge work *)
+      (** the lane at width [compaction_workers]: writes return after
+          WAL+memtable and are throttled by backpressure instead *)
 
 type t = {
   comparator : Lsm_util.Comparator.t;
@@ -65,10 +64,12 @@ type t = {
           the target and no garbage collection would fire (RocksDB's
           trivial move); pure WA reduction, ablated in the benches *)
   compaction_bytes_per_round : int option;
-      (** Luo & Carey-style throttling: cap compaction traffic triggered
-          by any single write; remaining work is deferred to later writes,
+      (** Luo & Carey-style throttling, at every lane width: caps the
+          compaction bytes (read + written) of each cascade round — the
+          picks chained after one flush, foreground request, or (on an
+          idle lane) single write. The rest is deferred to later rounds,
           trading a transiently deeper tree for stable write latency.
-          [None] = drain all pending compactions immediately. *)
+          [None] = every round runs to its fixpoint. *)
   compaction_parallelism : int;
       (** number of worker domains for subcompactions and {!Db.multi_get}
           fan-out (>= 1). 1 (the default) keeps today's fully serial,
@@ -78,14 +79,13 @@ type t = {
           disjoint ranges compacted in parallel, RocksDB-subcompaction
           style. *)
   compaction_backend : backend;
-      (** [Inline] (default) keeps the single-writer deterministic shape
-          every cost-model experiment depends on. [Background] moves
-          flush and compaction onto the scheduler (see DESIGN.md §10):
-          logically equivalent ([Db.dump_entries] identical after
-          quiesce), but writes no longer pay for merges — they pay
-          bounded backpressure delays instead. The default flips to
-          [Background] when [LSM_COMPACTION_BACKEND=background] is in
-          the environment (CI matrix leg). *)
+      (** The width of the one maintenance lane (DESIGN.md §10).
+          [Inline] (default, width 0) is the single-writer shape every
+          cost-model experiment depends on. [Background] runs the same
+          tickets on the shared pool: [Db.dump_entries] is identical after
+          quiesce, but writes pay bounded backpressure delays instead of
+          merges. The default flips to [Background] when
+          [LSM_COMPACTION_BACKEND=background] is set (CI matrix leg). *)
   compaction_workers : int;
       (** background mode only: how many of this db's flush/compaction
           jobs may execute concurrently on the shared lane (>= 1).
@@ -98,7 +98,8 @@ type t = {
           [LSM_COMPACTION_WORKERS] in the environment (CI matrix
           leg). *)
   write_slowdown_trigger : int;
-      (** backpressure (background mode only): a {e byte} threshold on
+      (** backpressure (background mode only: inline writers pay the
+          debt themselves): a {e byte} threshold on
           compaction debt = immutable-buffer bytes + L0 run bytes +
           enqueued-but-unapplied compaction input bytes. Once debt
           reaches this many bytes, each write sleeps a bounded delay
@@ -120,9 +121,8 @@ type t = {
   scrub_interval : float;
       (** scheduled scrubbing: at most every this many seconds, a write
           that rotates the memtable also kicks off a {!Db.scrub} pass
-          (background mode enqueues per-table maintenance jobs on the
-          scheduler lane, honoring [scrub_delay]; inline mode runs a
-          synchronous {!Db.verify_integrity}), so rot is found — and,
+          (per-table jobs on the scheduler lane; inline, the writer runs
+          them itself), so rot is found — and,
           with [ecc] on, healed — before a user read trips on it. 0 (the
           default) disables scheduled scrubbing. *)
   ecc : ecc option;

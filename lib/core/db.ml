@@ -47,18 +47,18 @@ type t = {
           trigger and backpressure debt are O(1); same guard *)
   mutable imm_bytes : int;
       (** memtable bytes of immutable buffers not yet claimed by a
-          background flush ticket — the buffer component of the
-          byte-denominated backpressure debt (claimed buffers move into
-          the scheduler's unapplied bytes instead, so no byte is counted
-          twice); same guard *)
-  mutable bg_flush_claims : int;
-      (** immutable buffers claimed by enqueued-but-uncommitted
-          background flush tickets — always a prefix of the oldest,
-          since flush tickets enqueue and commit in rotation order;
-          same guard *)
+          flush ticket — the buffer component of the byte-denominated
+          backpressure debt (claimed buffers move into the scheduler's
+          unapplied bytes instead, so no byte is counted twice); same
+          guard *)
+  mutable flush_claims : int;
+      (** immutable buffers claimed by enqueued-but-uncommitted flush
+          tickets — always a prefix of the oldest, since flush tickets
+          enqueue and commit in rotation order; same guard *)
   mutable vers : Version.t;
-      (** the maintenance lane's working state — mutated only inline or
-          on the serialized background lane (never both concurrently) *)
+      (** the maintenance lane's working state — mutated only in the
+          lane's sequencer context (commit thunks and the pick hook,
+          which never run concurrently) *)
   mutable read_view : Version.t * (string * string * int) list;
       (** what readers use: the installed version paired with the
           range-tombstone list rebuilt from exactly that version, swapped
@@ -101,15 +101,21 @@ type t = {
       (** guards [next_file_id] across subcompaction domains *)
   buf_mutex : Ordered_mutex.t;
       (** guards [immutables]/[imm_count]: the writer pushes on rotation,
-          the background flush job pops, readers snapshot *)
-  sched : Scheduler.t option;
-      (** [Some] iff [cfg.compaction_backend = Background] *)
+          the flush ticket's commit pops, readers snapshot *)
+  sched : Scheduler.t;
+      (** the maintenance lane: width 0 for [Inline] (the caller drains
+          it), [cfg.compaction_workers] for [Background] *)
+  mutable round_picks_left : int;
+  mutable round_cap : int;
+      (** the current cascade round (see [start_round]): picks the hook
+          may still make, and the compaction-bytes total at which it
+          stops picking; sequencer context only *)
   pins : Version.Pins.registry;
-      (** version pin registry; deletions of compacted [.sst] files are
-          deferred through it in background mode (eager inline) *)
+      (** version pin registry: every reader pins, and deletions of
+          compacted [.sst] files are deferred through it *)
   health : health Atomic.t;
       (** atomic because reader domains (multi_get fan-out) and the
-          background lane both observe and flip it *)
+          maintenance lane both observe and flip it *)
   quarantined : quarantine_entry list Atomic.t;
       (** CAS-appended list of fenced-off tables; probes check it before
           touching a file so a known-bad table never serves *)
@@ -263,8 +269,8 @@ let rebuild_table_rds t =
     (Version.all_files t.vers);
   !rds
 
-(* Serialized: runs inline, or on the background lane, or on a quiesced
-   foreground — never two at once. Publishing [read_view] before
+(* Serialized: runs in the lane's sequencer context (or in [open_db]
+   before the lane has work) — never two at once. Publishing [read_view] before
    [Pins.advance] keeps pinning conservative: a pin taken between the
    two blocks deletions for the version it just read. *)
 let install_edit t edit =
@@ -434,31 +440,17 @@ let flush_commit t buffer metas =
   (match buffer.wal_name with Some n -> Device.delete t.dev n | None -> ());
   t.db_stats.Stats.flushes <- t.db_stats.Stats.flushes + 1
 
-let flush_one t buffer = flush_commit t buffer (flush_execute t buffer)
-
-(* Remove a flushed buffer from the stack. A buffer claimed by a
-   background flush ticket already left [imm_bytes] at claim time (its
-   bytes were counted as the ticket's unapplied input instead); an
-   unclaimed buffer — the inline path — leaves it here. *)
-let pop_buffer t ~claimed buffer =
+(* Remove a flushed buffer from the stack, after its flush installed the
+   L0 run: between the two a reader may see the entries both in the
+   immutable memtable and in L0, which probe order dedupes; popping first
+   would open a window where a concurrent reader sees them in neither.
+   The buffer's bytes already left [imm_bytes] when its ticket claimed
+   it. *)
+let pop_buffer t buffer =
   Ordered_mutex.with_lock t.buf_mutex (fun () ->
       t.immutables <- List.filter (fun b -> b != buffer) t.immutables;
       t.imm_count <- t.imm_count - 1;
-      if claimed then t.bg_flush_claims <- t.bg_flush_claims - 1
-      else t.imm_bytes <- t.imm_bytes - Memtable.footprint buffer.mt)
-
-(* Flush first, pop after: between [install_edit] and the pop a reader
-   may see the entries both in the immutable memtable and in L0, which
-   probe order dedupes; popping first would open a window where a
-   concurrent reader sees them in neither. Only the maintenance lane
-   pops, and pushes only prepend, so the oldest element is stable across
-   the unlocked read. *)
-let flush_oldest t =
-  match List.rev t.immutables with
-  | [] -> ()
-  | oldest :: _ ->
-    flush_one t oldest;
-    pop_buffer t ~claimed:false oldest
+      t.flush_claims <- t.flush_claims - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -524,29 +516,19 @@ let pick_compaction t =
     | Policy.Expired_ttl { ttl }, None ->
       (try
          for l = 0 to Version.max_levels - 2 do
-           if l < Version.max_levels - 1 then
-             List.iter
-               (fun (r : Version.run) ->
-                 List.iter
-                   (fun (f : Table_meta.t) ->
-                     if
-                       f.point_tombstones + f.range_tombstones > 0
-                       && Atomic.get t.clock - f.created_at > ttl
-                       && l >= 1
-                     then begin
-                       job := Some (J_file (l, f));
-                       raise Exit
-                     end
-                     else if
-                       f.point_tombstones + f.range_tombstones > 0
-                       && Atomic.get t.clock - f.created_at > ttl
-                       && l = 0
-                     then begin
-                       job := Some J_level0;
-                       raise Exit
-                     end)
-                   r.Version.files)
-               (Version.level_runs v l)
+           List.iter
+             (fun (r : Version.run) ->
+               List.iter
+                 (fun (f : Table_meta.t) ->
+                   if
+                     f.point_tombstones + f.range_tombstones > 0
+                     && Atomic.get t.clock - f.created_at > ttl
+                   then begin
+                     job := Some (if l = 0 then J_level0 else J_file (l, f));
+                     raise Exit
+                   end)
+                 r.Version.files)
+             (Version.level_runs v l)
          done
        with Exit -> ())
     | _ -> ());
@@ -565,22 +547,17 @@ let rds_of_files t files =
         (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
     files
 
+(* Concurrent readers may still hold a version referencing these files;
+   deletion waits for the last pin predating this install. *)
 let retire_files t files =
-  let delete () =
-    List.iter
-      (fun (f : Table_meta.t) ->
-        Device.delete t.dev f.file_name;
-        (* Deleting inputs implicitly evicts their hot blocks — the cache
-           disturbance §2.1.3 attributes to compactions. *)
-        Table_cache.evict t.tables f.file_name)
-      files
-  in
-  match t.sched with
-  | None -> delete ()
-  | Some _ ->
-    (* Concurrent readers may still hold a version referencing these
-       files; deletion waits for the last pin predating this install. *)
-    Version.Pins.defer t.pins delete
+  Version.Pins.defer t.pins (fun () ->
+      List.iter
+        (fun (f : Table_meta.t) ->
+          Device.delete t.dev f.file_name;
+          (* Deleting inputs implicitly evicts their hot blocks — the cache
+             disturbance §2.1.3 attributes to compactions. *)
+          Table_cache.evict t.tables f.file_name)
+        files)
 
 (* ---------------- subcompactions ---------------- *)
 
@@ -793,10 +770,6 @@ let merge_commit t (p : merge_plan) (metas, nranges, exec_ns) =
       metas;
   metas
 
-let execute_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom =
-  let p = plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom in
-  merge_commit t p (merge_execute t p)
-
 (* The run group output goes to: reuse the target's single-run group when
    merging into a leveled level that already has a run, else a new group. *)
 let fresh_group t =
@@ -829,15 +802,29 @@ let has_tombstones files =
 
 (* A planned job: every input captured from [t.vers], target group
    allocated, round-robin cursor advanced — all the decisions that must
-   happen deterministically in sequencer context. What remains
-   ([run_planned]'s execute phase) only reads the captured immutable
-   files. Background picks plan from exactly the tree states the inline
-   scheduler would see — the sequencer front-inserts hook picks and runs
-   the hook after every commit — so planning needs no batch capping or
-   other background-specific adjustment. *)
+   happen deterministically in sequencer context. What remains (the
+   ticket's execute phase) only reads the captured immutable files.
+   Picks plan from exactly the same tree states at every lane width —
+   the sequencer front-inserts hook picks and runs the hook after every
+   commit — so planning needs no width-specific adjustment. *)
 type planned =
   | P_merge of merge_plan
   | P_move of { files : Table_meta.t list; target_level : int; target_group : int }
+
+(* The next-level files a single-file job on [f] at level [l] merges
+   with. A range tombstone in [f] may extend past [f.max_key]; the
+   overlap is widened so its victims are merged (else retiring the
+   tombstone at the bottom would resurrect them). *)
+let file_job_overlap t l (f : Table_meta.t) =
+  let next_run_files =
+    List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs t.vers (l + 1))
+  in
+  let hi =
+    List.fold_left
+      (fun acc (rd : Entry.t) -> Lsm_util.Comparator.max_key (cmp_of t) acc rd.value)
+      f.Table_meta.max_key (rds_of_files t [ f ])
+  in
+  Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
 
 let plan_of_job t job =
   let last = Version.last_level t.vers in
@@ -892,20 +879,7 @@ let plan_of_job t job =
          ~target_group:(leveled_target_group t (l + 1)) ~bottom:(last <= l + 1))
   | J_file (l, f) ->
     let target = l + 1 in
-    let next_run_files =
-      List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs t.vers target)
-    in
-    (* A range tombstone in [f] may extend past [f.max_key]; widen the
-       next-level overlap so its victims are merged (else retiring the
-       tombstone at the bottom would resurrect them). *)
-    let hi =
-      List.fold_left
-        (fun acc (rd : Entry.t) -> Lsm_util.Comparator.max_key (cmp_of t) acc rd.value)
-        f.Table_meta.max_key (rds_of_files t [ f ])
-    in
-    let overlapping =
-      Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
-    in
+    let overlapping = file_job_overlap t l f in
     Hashtbl.replace t.rr_cursors l f.Table_meta.max_key;
     let bottom = last <= target in
     if
@@ -924,18 +898,11 @@ let plan_of_job t job =
            ~target_group:(leveled_target_group t target) ~bottom)
     end
 
-let run_planned t = function
-  | P_move { files; target_level; target_group } ->
-    trivial_move t ~files ~target_level ~target_group
-  | P_merge p -> ignore (merge_commit t p (merge_execute t p))
-
 let planned_input_bytes = function
   | P_merge p -> p.mp_read_bytes
   | P_move { files; _ } -> List.fold_left (fun a (f : Table_meta.t) -> a + f.size) 0 files
 
-let execute_job t job = run_planned t (plan_of_job t job)
-
-(* Conflict key for a background pick: the job's source level plus the
+(* Conflict key for a pick: the job's source level plus the
    inclusive key span of everything it may read or rewrite — source and
    next-level runs, or for a single-file job the file plus its (widened)
    next-level overlap. Computed before planning, so a refused pick has
@@ -951,63 +918,19 @@ let key_of_job t job =
   | J_level0 -> span 0 (Version.level_runs t.vers 0 @ Version.level_runs t.vers 1)
   | J_tier_merge l | J_whole_level l ->
     span l (Version.level_runs t.vers l @ Version.level_runs t.vers (l + 1))
-  | J_file (l, f) ->
-    let next_run_files =
-      List.concat_map
-        (fun (r : Version.run) -> r.Version.files)
-        (Version.level_runs t.vers (l + 1))
-    in
-    let hi =
-      List.fold_left
-        (fun acc (rd : Entry.t) -> Lsm_util.Comparator.max_key (cmp_of t) acc rd.value)
-        f.Table_meta.max_key (rds_of_files t [ f ])
-    in
-    let overlapping =
-      Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
-    in
-    span l [ Version.make_run ~group:0 (f :: overlapping) ]
-
-(* One compaction step on the calling domain; no lane coordination —
-   [schedule_compactions] runs this from inside background jobs. The
-   public [compact_once] below quiesces first. *)
-let compact_step t =
-  match pick_compaction t with
-  | None -> false
-  | Some job ->
-    execute_job t job;
-    true
-
-let max_cascade = 1000
-
-(* Drain pending compactions, optionally capped per round (the throttling
-   of Luo & Carey [81]: spreading the merge work across many writes keeps
-   write latency stable at the cost of a transiently deeper tree). *)
-let schedule_compactions t =
-  let budget =
-    match t.cfg.Config.compaction_bytes_per_round with Some b -> b | None -> max_int
-  in
-  let moved () =
-    t.db_stats.Stats.compaction_bytes_read + t.db_stats.Stats.compaction_bytes_written
-  in
-  let start = moved () in
-  let rec loop n =
-    if n < max_cascade && moved () - start < budget && compact_step t then loop (n + 1)
-  in
-  loop 0
+  | J_file (l, f) -> span l [ Version.make_run ~group:0 (f :: file_job_overlap t l f) ]
 
 (* ------------------------------------------------------------------ *)
-(* Background scheduling & backpressure                                 *)
+(* The maintenance lane & backpressure                                 *)
 (* ------------------------------------------------------------------ *)
 
-let quiesce_bg t = match t.sched with Some s -> Scheduler.quiesce s | None -> ()
+(* Every flush and compaction is a ticket on [t.sched]. At width 0
+   (inline) nobody else runs the lane: whoever submits work drains it. *)
+let run_inline t = if Scheduler.workers t.sched = 0 then Scheduler.quiesce t.sched
 
-(* Readers pin the installed version so background compaction cannot
-   delete the [.sst] files under them; inline mode has no concurrent
-   deleter and skips the registry. *)
-let with_pin t f =
-  match t.sched with None -> f () | Some _ -> Version.Pins.with_pin t.pins f
+let with_pin t f = Version.Pins.with_pin t.pins f
 
-(* Background jobs report through the scheduler's failure latch; this
+(* Maintenance jobs report through the scheduler's failure latch; this
    wrapper additionally flips the engine into fail-safe read-only mode
    and makes sure the parked exception is typed. [Device.Crashed] passes
    through unwrapped and does not change health — crash injection models
@@ -1022,96 +945,119 @@ let guard_bg_job t job () =
     enter_failsafe t;
     raise
       (Lsm_error.io_error ~retriable:false
-         ("background maintenance failed: " ^ Printexc.to_string e))
+         ("maintenance failed: " ^ Printexc.to_string e))
 
-(* Inline maintenance (flush/compaction on the write path) gets the same
-   health transition but re-raises the original exception — the caller
-   sees the failure directly rather than through the latch. *)
-let guard_inline_maintenance t f =
-  try f () with
-  | Device.Crashed as e -> raise e
-  | e ->
-    enter_failsafe t;
-    raise e
-
-(* Wrap both phases of a two-phase background job with the fail-safe
-   guard: an error in either phase flips the engine read-only and parks
-   a typed error in the scheduler's failure latch. *)
-let bg_phases t mk () =
+(* Wrap both phases of a two-phase job with the fail-safe guard: an
+   error in either phase flips the engine read-only and parks a typed
+   error in the scheduler's failure latch. *)
+let guarded_phases t mk () =
   let commit = guard_bg_job t mk () in
   fun () -> guard_bg_job t commit ()
 
-(* Claim the oldest unclaimed immutable buffer for a background flush
-   ticket iff the stack is over the limit net of buffers already
-   claimed — one ticket per buffer, exactly the work the inline trigger
-   does per rotation. Claiming moves the buffer's bytes out of
-   [imm_bytes]: from here until its commit pops it they are accounted
-   as the ticket's unapplied input bytes instead. *)
-let claim_flush t =
-  Ordered_mutex.with_lock t.buf_mutex (fun () ->
-      if t.imm_count - t.bg_flush_claims > t.cfg.Config.max_immutable_buffers then begin
-        let buffer = List.nth (List.rev t.immutables) t.bg_flush_claims in
-        t.bg_flush_claims <- t.bg_flush_claims + 1;
-        t.imm_bytes <- t.imm_bytes - Memtable.footprint buffer.mt;
-        Some buffer
-      end
-      else None)
+(* A cascade round is what the pick hook may do after one root commit
+   (a flush, a foreground request, a throttled write's kick): at most
+   [picks] picks, none once the round has moved [budget] compaction
+   bytes (the throttling of Luo & Carey [81]), and none after its
+   fixpoint, when nothing was left to pick. *)
+let max_cascade = 1000
 
-(* Commit-time compaction picker: the sequencer calls this after every
-   committed edit (in commit order, on whichever worker holds the
-   committer token — serialized, so it may read [t.vers] and allocate
-   groups like the inline scheduler does). Each call submits at most ONE
-   pick, which the sequencer front-inserts at the commit head — so the
-   pick applies before any already-queued flush, exactly where the
-   inline scheduler would have run it. The cascade then advances one
-   step per commit: the pick's own commit re-runs this hook against the
-   updated tree, replaying inline's pick-apply-repick loop until
-   [pick_compaction] returns [None] — the same fixpoint at which the
-   inline cascade stops. A pick whose key conflicts with an in-flight
-   ticket is refused without side effects (the trigger fires again at
-   that ticket's commit); pending flushes are ignored for refusal — see
+let compaction_bytes_moved t =
+  t.db_stats.Stats.compaction_bytes_read + t.db_stats.Stats.compaction_bytes_written
+
+let start_round t ~picks ~budget =
+  t.round_picks_left <- picks;
+  t.round_cap <- (match budget with Some b -> compaction_bytes_moved t + b | None -> max_int)
+
+(* Submit a ticket from outside the pick hook; its commit starts a round. *)
+let submit_root t ?(picks = max_cascade) ?(budget = t.cfg.Config.compaction_bytes_per_round) ~key
+    ~input_bytes mk =
+  Scheduler.submit t.sched ~key ~input_bytes
+    ~execute:
+      (guarded_phases t (fun () ->
+           let commit = mk () in
+           fun () ->
+             commit ();
+             start_round t ~picks ~budget))
+
+(* A round with no edit of its own: a no-op ticket. *)
+let kick t ?picks ?budget () =
+  submit_root t ?picks ?budget ~key:Scheduler.Maintenance ~input_bytes:0 (fun () () -> ())
+
+(* The post-commit hook, the only cascade driver: the sequencer calls it
+   after every committed edit, in commit order, serialized — so it may
+   read [t.vers] and allocate groups. Each call submits at most ONE pick,
+   which the sequencer front-inserts at the commit head, so it applies
+   before any already-queued flush; the pick's own commit re-runs the
+   hook on the updated tree — the same pick sequence at every width. A
+   pick whose key conflicts with an in-flight ticket is refused without
+   side effects (the trigger fires again at that ticket's commit);
+   pending flushes are ignored for refusal — see
    [Scheduler.conflicts_pending]. *)
-let bg_pick_compactions t sched =
-  match pick_compaction t with
-  | None -> ()
-  | Some job ->
-    let key = key_of_job t job in
-    if not (Scheduler.conflicts_pending ~ignore_flush:true sched key) then begin
-      let planned = plan_of_job t job in
-      Scheduler.submit sched ~key ~input_bytes:(planned_input_bytes planned)
-        ~execute:
-          (bg_phases t (fun () ->
-               match planned with
-               | P_move _ -> fun () -> run_planned t planned
-               | P_merge p ->
-                 let res = merge_execute t p in
-                 fun () -> ignore (merge_commit t p res)))
-    end
+let pick_hook t =
+  if t.round_picks_left > 0 && compaction_bytes_moved t < t.round_cap then
+    match pick_compaction t with
+    | None -> t.round_picks_left <- 0
+    | Some job ->
+      let key = key_of_job t job in
+      if not (Scheduler.conflicts_pending ~ignore_flush:true t.sched key) then begin
+        t.round_picks_left <- t.round_picks_left - 1;
+        let planned = plan_of_job t job in
+        Scheduler.submit t.sched ~key ~input_bytes:(planned_input_bytes planned)
+          ~execute:
+            (guarded_phases t (fun () ->
+                 match planned with
+                 | P_move { files; target_level; target_group } ->
+                   fun () -> trivial_move t ~files ~target_level ~target_group
+                 | P_merge p ->
+                   let res = merge_execute t p in
+                   fun () -> ignore (merge_commit t p res)))
+      end
+
+(* Claim the oldest unclaimed immutable buffers while more than [keep]
+   stay unclaimed. Claiming moves a buffer's bytes out of [imm_bytes]:
+   until its flush commit pops it they count as the ticket's unapplied
+   input bytes instead. *)
+let claim_buffers t ~keep =
+  Ordered_mutex.with_lock t.buf_mutex (fun () ->
+      let rec claim acc =
+        if t.imm_count - t.flush_claims > keep then begin
+          let buffer = List.nth (List.rev t.immutables) t.flush_claims in
+          t.flush_claims <- t.flush_claims + 1;
+          t.imm_bytes <- t.imm_bytes - Memtable.footprint buffer.mt;
+          claim (buffer :: acc)
+        end
+        else List.rev acc
+      in
+      claim [])
+
+(* One ticket flushes its buffers oldest first, then the hook cascades.
+   The first run is written in the execute phase, off the sequencer; any
+   further buffer is flushed by the commit, after its predecessor. *)
+let submit_flush t buffers =
+  submit_root t ~key:Scheduler.Flush
+    ~input_bytes:(List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 buffers)
+    (fun () ->
+      let first = match buffers with b :: _ -> flush_execute t b | [] -> [] in
+      fun () ->
+        List.iteri
+          (fun i b ->
+            flush_commit t b (if i = 0 then first else flush_execute t b);
+            pop_buffer t b)
+          buffers)
 
 (* RocksDB-style backpressure, re-denominated in bytes: debt = unclaimed
    immutable-buffer bytes + L0 run bytes + captured input bytes of every
    enqueued-but-unapplied ticket. The debt reads are deliberately
    lock-free (stale by at most a step — this is a throttle, not an
    invariant). *)
-let bg_debt t sched =
-  t.imm_bytes + Version.level_bytes t.vers 0 + Scheduler.unapplied_bytes sched
+let backpressure_debt t =
+  t.imm_bytes + Version.level_bytes t.vers 0 + Scheduler.unapplied_bytes t.sched
 
-let bg_after_rotate t sched =
-  (match claim_flush t with
-  | None -> ()
-  | Some buffer ->
-    Scheduler.submit sched ~key:Scheduler.Flush
-      ~input_bytes:(Memtable.footprint buffer.mt)
-      ~execute:
-        (bg_phases t (fun () ->
-             let metas = flush_execute t buffer in
-             fun () ->
-               flush_commit t buffer metas;
-               pop_buffer t ~claimed:true buffer)));
-  let d = bg_debt t sched in
+let backpressure t =
+  let d = backpressure_debt t in
   if d >= t.cfg.Config.write_stop_trigger then begin
     t.db_stats.Stats.write_stops <- t.db_stats.Stats.write_stops + 1;
-    Scheduler.wait_until sched (fun ~pending:_ ~unapplied_bytes ->
+    Scheduler.wait_until t.sched (fun ~pending:_ ~unapplied_bytes ->
         t.imm_bytes + Version.level_bytes t.vers 0 + unapplied_bytes
         < t.cfg.Config.write_stop_trigger)
   end
@@ -1133,22 +1079,17 @@ let bg_after_rotate t sched =
     Unix.sleepf delay
   end
 
-let compact_once t =
-  quiesce_bg t;
-  compact_step t
-
-(* ------------------------------------------------------------------ *)
-(* Write path                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let maybe_flush_for_write t =
-  if t.imm_count > t.cfg.Config.max_immutable_buffers then begin
+(* After a rotation, every buffer over the limit goes to one flush
+   ticket. At width 0 the writer then drains the lane itself — a write
+   stall, whose flush + compaction-write bytes are its burst — so it has
+   paid the debt that wider lanes charge as backpressure. *)
+let after_rotate t =
+  let buffers = claim_buffers t ~keep:t.cfg.Config.max_immutable_buffers in
+  if buffers <> [] then submit_flush t buffers;
+  if Scheduler.workers t.sched > 0 then backpressure t
+  else if buffers <> [] then begin
     let before = Io_stats.copy (Device.stats t.dev) in
-    guard_inline_maintenance t (fun () ->
-        while t.imm_count > t.cfg.Config.max_immutable_buffers do
-          flush_oldest t
-        done;
-        schedule_compactions t);
+    Scheduler.quiesce t.sched;
     let d = Io_stats.diff (Device.stats t.dev) before in
     let burst =
       Io_stats.bytes_written ~cls:Io_stats.C_flush d
@@ -1157,6 +1098,20 @@ let maybe_flush_for_write t =
     t.db_stats.Stats.write_stalls <- t.db_stats.Stats.write_stalls + 1;
     Lsm_util.Histogram.add t.db_stats.Stats.stall_burst_bytes burst
   end
+
+(* Foreground maintenance drains the lane (re-raising any parked
+   failure), submits, and drains again. *)
+let compact_once t =
+  let steps () = t.db_stats.Stats.compactions + t.db_stats.Stats.trivial_moves in
+  Scheduler.quiesce t.sched;
+  let before = steps () in
+  kick t ~picks:1 ~budget:None ();
+  Scheduler.quiesce t.sched;
+  steps () > before
+
+(* ------------------------------------------------------------------ *)
+(* Write path                                                          *)
+(* ------------------------------------------------------------------ *)
 
 let check_open t = if t.closed then invalid_arg "Db: closed"
 
@@ -1169,26 +1124,26 @@ let check_writable t =
       (Lsm_error.read_only
          "fail-safe mode after a maintenance failure (Db.try_resume to re-arm)")
 
-(* Shared tail of [write]/[apply_batch]: rotation trigger plus the
-   per-backend follow-up work. [throttle] is true only for single
-   writes — batches never paid the throttled-mode slice, and keeping
-   that exact shape keeps the inline cost-model experiments bit-stable. *)
+(* Shared tail of [write]/[apply_batch]: the rotation trigger, or — in
+   throttled mode, on an idle lane — a kick that pays down deferred
+   compaction debt one round at a time on ordinary writes instead of in
+   bursts at flush points. [throttle] is true only for single writes:
+   batches never paid the throttled-mode slice, and keeping that exact
+   shape keeps the inline cost-model experiments bit-stable. *)
 let after_memtable_add t ~throttle =
   if Memtable.footprint t.active.mt >= t.dyn_buffer_size then begin
     rotate t;
-    (match t.sched with
-    | Some sched -> bg_after_rotate t sched
-    | None -> maybe_flush_for_write t);
+    after_rotate t;
     if t.cfg.Config.scrub_interval > 0. then t.scrub_tick ()
   end
-  else
-    match t.sched with
-    | None when throttle && t.cfg.Config.compaction_bytes_per_round <> None ->
-      (* Throttled mode: pay down deferred compaction debt a slice at a
-         time on ordinary writes instead of in bursts at flush points.
-         In background mode the budget throttles each lane job instead. *)
-      schedule_compactions t
-    | _ -> ()
+  else if
+    throttle
+    && t.cfg.Config.compaction_bytes_per_round <> None
+    && Scheduler.pending t.sched = 0
+  then begin
+    kick t ();
+    run_inline t
+  end
 
 let write t (e : Entry.t) =
   check_writable t;
@@ -1725,48 +1680,46 @@ let release t s =
 (* Maintenance & introspection                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Foreground maintenance first drains the background lane (re-raising
-   any parked failure), then runs inline on the calling domain: with the
-   lane idle and the caller being the only job producer, the version is
-   safe to mutate from here. [flush_work] skips the writability check —
-   [close] must be able to drain buffers even in fail-safe mode. *)
-let flush_work t =
-  quiesce_bg t;
-  (* Rebaseline the claim accounting: with the lane drained no flush
-     ticket is outstanding, but a failed-and-discarded ticket may have
-     left its claim (and byte deduction) behind — its buffer is still
-     in the stack and is about to be flushed inline here. *)
+(* Rebaseline the claim accounting on a drained lane: no flush ticket is
+   outstanding, but a failed-and-discarded one may have left its claim
+   (and byte deduction) behind — its buffer is still in the stack, and
+   must be the next one flushed. *)
+let reset_claims t =
   Ordered_mutex.with_lock t.buf_mutex (fun () ->
-      t.bg_flush_claims <- 0;
-      t.imm_bytes <-
-        List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 t.immutables);
+      t.flush_claims <- 0;
+      t.imm_bytes <- List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 t.immutables)
+
+(* [flush_work] skips the writability check — [close] must be able to
+   drain buffers even in fail-safe mode. *)
+let flush_work t =
+  Scheduler.quiesce t.sched;
+  reset_claims t;
   rotate t;
-  while t.imm_count > 0 do
-    flush_oldest t
-  done;
-  schedule_compactions t
+  submit_flush t (claim_buffers t ~keep:0);
+  Scheduler.quiesce t.sched
 
 let flush t =
   check_writable t;
-  guard_inline_maintenance t (fun () -> flush_work t)
+  flush_work t
 
 (* ------------------------------------------------------------------ *)
 (* Integrity scrubbing & fail-safe recovery                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Discard any parked background failure and leave fail-safe mode.
-   Quarantined tables stay fenced (re-arming cannot un-corrupt a file),
-   so health lands on [Degraded] when any remain. *)
+(* Drain the lane, discarding any parked failure, and leave fail-safe
+   mode. Quarantined tables stay fenced (re-arming cannot un-corrupt a
+   file), so health lands on [Degraded] when any remain. *)
 let try_resume t =
   check_open t;
-  (match t.sched with Some s -> ignore (Scheduler.take_failure s) | None -> ());
+  Scheduler.shutdown t.sched;
+  reset_claims t;
   let target = if Atomic.get t.quarantined = [] then Healthy else Degraded in
   Atomic.set t.health target;
   t.db_stats.Stats.resumes <- t.db_stats.Stats.resumes + 1;
   target
 
-(* One table's scrub, shared by the synchronous scrubber and the
-   background jobs: every data block re-read and CRC-checked. A defect
+(* One table's scrub, shared by the synchronous scrubber and the lane's
+   scrub jobs: every data block re-read and CRC-checked. A defect
    quarantines the table and is returned rather than raised — the
    scrubber reports findings, it does not abort on the first one. *)
 let verify_one_table t (f : Table_meta.t) =
@@ -1786,17 +1739,12 @@ let verify_one_table t (f : Table_meta.t) =
     add_quarantine t (quarantine_of_meta f detail);
     Some (Lsm_error.Corruption { file = f.Table_meta.file_name; offset = None; detail })
 
-let verify_integrity t =
-  check_open t;
-  let findings = ref [] in
-  let add c =
-    note_corruption t;
-    findings := c :: !findings
-  in
-  (* 1. Manifest: the frame chain must be intact up to the live end (the
-     open manifest carries no seal yet, so only framing is checked —
-     edit decodability was proven at recovery). *)
-  (match Framed_log.load t.dev ~name:Manifest.file_name with
+(* The scrub's non-table checks, reporting each finding to [add]. The
+   manifest frame chain must be intact up to the live end (the open
+   manifest carries no seal yet, so only framing is checked — edit
+   decodability was proven at recovery). *)
+let verify_manifest t add =
+  match Framed_log.load t.dev ~name:Manifest.file_name with
   | exception Not_found ->
     add
       (Lsm_error.Corruption
@@ -1807,18 +1755,11 @@ let verify_integrity t =
       add
         (Lsm_error.Corruption
            { file = Manifest.file_name; offset = Some off; detail = "bad edit frame" })
-    | _ -> ()));
-  (* 2. Every live table, under a pin so background compaction cannot
-     delete files out from under the walk. *)
-  with_pin t (fun () ->
-      let v, _ = t.read_view in
-      List.iter
-        (fun (f : Table_meta.t) ->
-          if not (is_quarantined t f.Table_meta.file_name) then
-            match verify_one_table t f with Some c -> add c | None -> ())
-        (Version.all_files v));
-  (* 3. WALs: tolerant scan, reporting every mangled byte range. A file
-     deleted by a concurrent flush between listing and reading is fine. *)
+    | _ -> ())
+
+(* WALs: tolerant scan, reporting every mangled byte range. A file
+   deleted by a concurrent flush between listing and reading is fine. *)
+let verify_wals t add =
   List.iter
     (fun name ->
       match wal_seq_of_name name with
@@ -1837,45 +1778,64 @@ let verify_integrity t =
                    }))
             gaps
         | exception Not_found -> ()))
-    (Device.list_files t.dev);
+    (Device.list_files t.dev)
+
+let verify_integrity t =
+  check_open t;
+  let findings = ref [] in
+  let add c =
+    note_corruption t;
+    findings := c :: !findings
+  in
+  verify_manifest t add;
+  (* Every live table, under a pin so compaction cannot delete files out
+     from under the walk. *)
+  with_pin t (fun () ->
+      let v, _ = t.read_view in
+      List.iter
+        (fun (f : Table_meta.t) ->
+          if not (is_quarantined t f.Table_meta.file_name) then
+            match verify_one_table t f with Some c -> add c | None -> ())
+        (Version.all_files v));
+  verify_wals t add;
   t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1;
   t.db_stats.Stats.scrub_errors <-
     t.db_stats.Stats.scrub_errors + List.length !findings;
   List.rev !findings
 
-(* Rate-limited background scrub: one lane job per live table, so user
-   flushes/compactions interleave between table verifications, plus
-   [Config.scrub_delay] seconds of deliberate idle per table. Inline
-   mode degenerates to a synchronous full pass. *)
+(* The lane's scrub: one ticket per live table, so flushes and
+   compactions interleave, then one for the manifest and WALs. With
+   workers, [Config.scrub_delay] seconds of idle follow each table; at
+   width 0 the caller runs the pass itself and is not made to sleep. *)
 let scrub t =
   check_open t;
-  match t.sched with
-  | None -> ignore (verify_integrity t)
-  | Some sched ->
-    let v, _ = t.read_view in
-    List.iter
-      (fun (f : Table_meta.t) ->
-        Scheduler.enqueue sched (fun () ->
-            Version.Pins.with_pin t.pins (fun () ->
-                let live, _ = t.read_view in
-                let still_live =
-                  List.exists
-                    (fun (g : Table_meta.t) ->
-                      String.equal g.Table_meta.file_name f.Table_meta.file_name)
-                    (Version.all_files live)
-                in
-                if still_live && not (is_quarantined t f.Table_meta.file_name) then begin
-                  (match verify_one_table t f with
-                  | Some _ ->
-                    note_corruption t;
-                    t.db_stats.Stats.scrub_errors <- t.db_stats.Stats.scrub_errors + 1
-                  | None -> ());
-                  if t.cfg.Config.scrub_delay > 0. then
-                    Unix.sleepf t.cfg.Config.scrub_delay
-                end)))
-      (Version.all_files v);
-    Scheduler.enqueue sched (fun () ->
-        t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1)
+  let count _ =
+    note_corruption t;
+    t.db_stats.Stats.scrub_errors <- t.db_stats.Stats.scrub_errors + 1
+  in
+  let v, _ = t.read_view in
+  List.iter
+    (fun (f : Table_meta.t) ->
+      Scheduler.enqueue t.sched (fun () ->
+          with_pin t (fun () ->
+              let live, _ = t.read_view in
+              let still_live =
+                List.exists
+                  (fun (g : Table_meta.t) ->
+                    String.equal g.Table_meta.file_name f.Table_meta.file_name)
+                  (Version.all_files live)
+              in
+              if still_live && not (is_quarantined t f.Table_meta.file_name) then begin
+                Option.iter count (verify_one_table t f);
+                if Scheduler.workers t.sched > 0 && t.cfg.Config.scrub_delay > 0. then
+                  Unix.sleepf t.cfg.Config.scrub_delay
+              end)))
+    (Version.all_files v);
+  Scheduler.enqueue t.sched (fun () ->
+      verify_manifest t count;
+      verify_wals t count;
+      t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1);
+  run_inline t
 
 (* ------------------------------------------------------------------ *)
 (* Open / recover                                                      *)
@@ -1931,7 +1891,7 @@ let open_db ?(config = Config.default) ~dev () =
       immutables = [];
       imm_count = 0;
       imm_bytes = 0;
-      bg_flush_claims = 0;
+      flush_claims = 0;
       vers = recovered;
       read_view = (Version.empty, []);
       manifest;
@@ -1951,12 +1911,14 @@ let open_db ?(config = Config.default) ~dev () =
       buf_mutex =
         Ordered_mutex.create ~rank:Ordered_mutex.Rank.db_buffers ~name:"db.buffers";
       sched =
-        (match config.Config.compaction_backend with
-        | Config.Background ->
-          Some
-            (Scheduler.create ~workers:config.Config.compaction_workers
-               ~cmp:config.Config.comparator.Comparator.compare ~stats:db_stats ())
-        | Config.Inline -> None);
+        Scheduler.create
+          ~workers:
+            (match config.Config.compaction_backend with
+            | Config.Inline -> 0
+            | Config.Background -> config.Config.compaction_workers)
+          ~cmp:config.Config.comparator.Comparator.compare ~stats:db_stats ();
+      round_picks_left = 0;
+      round_cap = 0;
       pins = Version.Pins.create_registry ();
       health = Atomic.make Healthy;
       quarantined = Atomic.make [];
@@ -1966,9 +1928,7 @@ let open_db ?(config = Config.default) ~dev () =
     }
   in
   (* Scheduled scrubbing: each memtable rotation checks the wall clock
-     and, at most once per [scrub_interval], kicks off a scrub pass —
-     background mode trickles per-table jobs through the lane (honoring
-     [scrub_delay]), inline mode runs a synchronous pass. *)
+     and, at most once per [scrub_interval], kicks off a scrub pass. *)
   t.scrub_tick <-
     (fun () ->
       let now = Unix.gettimeofday () in
@@ -1979,12 +1939,8 @@ let open_db ?(config = Config.default) ~dev () =
         scrub t
       end);
   (* Compaction triggers are evaluated after every committed edit, in
-     commit order, by whichever worker holds the committer token — the
-     background replacement for the inline cascade in
-     [schedule_compactions]. *)
-  (match t.sched with
-  | Some s -> Scheduler.set_on_commit s (guard_bg_job t (fun () -> bg_pick_compactions t s))
-  | None -> ());
+     commit order, by whoever holds the committer token. *)
+  Scheduler.set_on_commit t.sched (guard_bg_job t (fun () -> pick_hook t));
   let snapshot_edit =
     {
       Version.added =
@@ -2056,46 +2012,44 @@ let open_db ?(config = Config.default) ~dev () =
   Atomic.set t.visible_seqno t.seqno;
   t
 
+(* Full compaction: flush, run one more round, then merge every run of
+   every level into one sorted run at the deepest populated level, with
+   tombstones retired. Rewrite unconditionally (RocksDB
+   CompactRange-with-force semantics): even a lone bottom run may hold
+   versions retained for snapshots that have since been released, or
+   tombstones to retire. *)
 let major_compact t =
   flush t;
-  schedule_compactions t;
-  (* Full compaction: merge every run of every level into one sorted run
-     at the deepest populated level, with tombstones retired. *)
-  let all_runs =
-    List.concat_map
-      (fun l -> Version.level_runs t.vers l)
-      (List.init Version.max_levels Fun.id)
-  in
-  let total_runs = List.length all_runs in
-  let last = Version.last_level t.vers in
-  (* Rewrite unconditionally (RocksDB CompactRange-with-force semantics):
-     even a lone bottom run may hold versions retained for snapshots that
-     have since been released, or tombstones to retire. *)
-  if total_runs >= 1 then begin
-    let target = max 1 last in
-    ignore
-      (execute_merge t ~input_runs:all_runs ~extra_removed:[] ~target_level:target
-         ~target_group:(fresh_group t) ~bottom:true)
-  end;
-  schedule_compactions t
+  kick t ();
+  Scheduler.quiesce t.sched;
+  submit_root t ~key:Scheduler.Maintenance ~input_bytes:0 (fun () () ->
+      let all_runs =
+        List.concat_map (Version.level_runs t.vers) (List.init Version.max_levels Fun.id)
+      in
+      if all_runs <> [] then begin
+        let target_level = max 1 (Version.last_level t.vers) in
+        let p =
+          plan_merge t ~input_runs:all_runs ~extra_removed:[] ~target_level
+            ~target_group:(fresh_group t) ~bottom:true
+        in
+        ignore (merge_commit t p (merge_execute t p))
+      end);
+  Scheduler.quiesce t.sched
 
 let wake t = 1 + Atomic.fetch_and_add t.clock 1
 
-(* Wait until every queued background job has run (no-op inline);
-   re-raises a background failure on this, the foreground, domain. *)
+(* Wait until every queued maintenance job has run (at width 0, by
+   running them here); re-raises a maintenance failure on this, the
+   foreground, domain. *)
 let quiesce t =
   check_open t;
-  quiesce_bg t
-
-let backpressure_debt t =
-  t.imm_bytes + Version.level_bytes t.vers 0
-  + match t.sched with Some s -> Scheduler.unapplied_bytes s | None -> 0
+  Scheduler.quiesce t.sched
 
 let close t =
   if not t.closed then begin
-    (* Drain the lane without re-raising a parked background failure:
-       close must tear down even a crashed database. *)
-    (match t.sched with Some s -> Scheduler.shutdown s | None -> ());
+    (* Drain the lane without re-raising a parked failure: close must
+       tear down even a crashed database. *)
+    Scheduler.shutdown t.sched;
     if not t.cfg.Config.wal_enabled then flush_work t;
     (match t.active.wal with Some w -> Wal.close w | None -> ());
     List.iter (fun b -> match b.wal with Some w -> Wal.close w | None -> ()) t.immutables;
@@ -2145,9 +2099,7 @@ let set_write_buffer_size t bytes =
   t.dyn_buffer_size <- bytes;
   if Memtable.footprint t.active.mt >= bytes then begin
     rotate t;
-    match t.sched with
-    | Some sched -> bg_after_rotate t sched
-    | None -> maybe_flush_for_write t
+    after_rotate t
   end
 
 let set_block_cache_bytes t bytes = Block_cache.set_capacity t.cache bytes

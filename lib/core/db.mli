@@ -1,27 +1,27 @@
 (** The LSM-tree storage engine: the paper's object of study, assembled
     from the substrate libraries.
 
-    Single-{e writer} by design: with the default
-    [Config.compaction_backend = Inline], internal work (flush,
-    compaction) runs synchronously inside the triggering write, and its
-    cost is {e accounted} (stall bursts, compaction I/O histograms)
-    rather than hidden — which is exactly what the stall/burst
-    experiments measure. With [Config.compaction_parallelism] > 1 that
-    shape is kept, but the {e inside} of each merge fans out across a
-    fixed pool of worker domains (RocksDB-style subcompactions over
-    disjoint key ranges), and {!multi_get} shards batched point lookups
-    over the same pool; results are identical to serial execution, only
-    wall-clock changes.
+    Single-{e writer} by design. Every flush and compaction is a ticket
+    on one maintenance lane (DESIGN.md §10); the execution mode only
+    sets its width. With the default [Config.compaction_backend =
+    Inline] (width 0) the write that rotates a buffer runs the lane
+    itself — the flush and every compaction cascading from it — before
+    returning, so the cost is {e accounted} (stall bursts, compaction
+    I/O histograms) rather than hidden, which is exactly what the
+    stall/burst experiments measure. With [Background] (width
+    [Config.compaction_workers]) a rotation submits the same ticket and
+    returns, and writes are throttled by
+    [write_slowdown_trigger]/[write_stop_trigger] backpressure instead.
+    Trees are identical at every width after {!quiesce} (or {!flush}),
+    and at every width concurrent readers ({!get}, {!multi_get},
+    {!fold}, {!scan}) pin the version they read, lock-free, so
+    compaction never deletes a table under them.
 
-    With [Config.compaction_backend = Background] the engine stays
-    single-writer but flush and compaction move off the write path onto
-    the process-wide scheduler lane (see DESIGN.md §10): a rotation
-    enqueues a job and returns, writes are throttled by
-    [write_slowdown_trigger]/[write_stop_trigger] backpressure instead
-    of absorbing merge cascades, and concurrent readers ({!get},
-    {!multi_get}, {!fold}, {!scan}) pin the version they read so
-    compaction never deletes a table under them. After {!quiesce} (or
-    {!flush}) the logical contents are identical to inline execution.
+    With [Config.compaction_parallelism] > 1 the {e inside} of each
+    merge fans out across a fixed pool of worker domains (RocksDB-style
+    subcompactions over disjoint key ranges), and {!multi_get} shards
+    batched point lookups over the same pool; results are identical to
+    serial execution, only wall-clock changes.
 
     External operations: {!put}, {!get}, {!scan}, {!delete} (plus
     {!single_delete}, {!range_delete}, {!merge} — §2.1.2). Internal
@@ -108,19 +108,18 @@ val flush : t -> unit
     compactions. *)
 
 val compact_once : t -> bool
-(** Run the single highest-priority compaction if one is due (draining
-    the background lane first in background mode). *)
+(** Drain the lane, then run the single highest-priority compaction if
+    one is due (ignoring [Config.compaction_bytes_per_round]). *)
 
 val quiesce : t -> unit
-(** Background mode: block until every enqueued flush/compaction job has
-    finished, re-raising on this domain any exception a job hit. Inline
-    mode: no-op. *)
+(** Block until every queued maintenance job has finished (inline: by
+    running them here), re-raising on this domain any typed failure. *)
 
 val backpressure_debt : t -> int
 (** The write-throttle debt measure, in bytes: immutable buffer bytes
     + level-0 run bytes + input bytes of enqueued-but-unapplied
-    background compactions (0 pending inline). Compared against
-    [Config.write_slowdown_trigger] / [write_stop_trigger].
+    tickets (0 once an inline writer has drained the lane). Compared
+    against [Config.write_slowdown_trigger] / [write_stop_trigger].
     Observability/tests. *)
 
 val major_compact : t -> unit
@@ -142,7 +141,7 @@ type health =
       (** at least one table is quarantined; reads outside the fenced
           ranges and all writes still work *)
   | Failsafe_read_only
-      (** a background or inline flush/compaction failed: mutations
+      (** a flush/compaction failed: mutations
           raise [Lsm_error.Read_only], reads keep working,
           {!try_resume} re-arms *)
 
@@ -169,11 +168,12 @@ val verify_integrity : t -> Lsm_util.Lsm_error.t list
     not abort on the first defect). *)
 
 val scrub : t -> unit
-(** Background variant of {!verify_integrity}: enqueues one verification
-    job per live table on the scheduler lane, rate-limited by
-    [Config.scrub_delay], so foreground work interleaves. Inline mode
-    runs the synchronous pass. Findings land in {!stats} and
-    {!quarantined_tables}; {!quiesce} waits for completion. *)
+(** Lane variant of {!verify_integrity}, over the same files: one job
+    per live table, then one for the manifest and WALs, so foreground
+    work interleaves — rate-limited by [Config.scrub_delay] in
+    background mode, where {!quiesce} awaits it; inline, the caller runs
+    the pass undelayed. Findings land in {!stats} and
+    {!quarantined_tables}. *)
 
 val checkpoint : t -> dest:Lsm_storage.Device.t -> unit
 (** Consistent full backup: flush, copy every live table to [dest], and

@@ -23,11 +23,10 @@
    writer's submissions append, but submissions made from inside the
    post-commit hook insert at the head of the uncommitted queue, right
    after the ticket that just committed. That is what makes the edit
-   sequence worker-count-independent *and* identical to the inline
-   scheduler: inline runs its compaction cascade synchronously at each
-   flush point, before the next flush, so a background pick made at a
-   flush's commit must also apply before any flush that happens to be
-   queued behind it. Front-insertion is sound because the only tickets
+   sequence worker-count-independent: a cascade runs to its end at each
+   flush point, before the next flush, so a pick made at a flush's
+   commit must apply before any flush that happens to be queued behind
+   it. Front-insertion is sound because the only tickets
    it overtakes are flushes (and maintenance), whose effect does not
    depend on the version: a flush's edit adds a brand-new L0 run and
    its group id is allocated at commit time, in commit order.
@@ -54,6 +53,9 @@
    still drain through the sequencer, so [quiesce]/[shutdown] cannot
    deadlock on a parked edit.
 
+   Width 0 (the engine's inline mode) has no pool: whoever drains the
+   scheduler runs each head ticket itself, as worker slot 0.
+
    Module-level state (the lane) is on the lint R4 allowlist; see the
    rationale above. *)
 
@@ -63,7 +65,7 @@ module Histogram = Lsm_util.Histogram
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* The singleton lane, created on first Background open and grown when a
+(* The singleton lane, created on the first open at width >= 1 and grown when a
    db asks for more workers than it has. [lazy] forcing is not
    domain-safe, so creation is guarded by a mutex of scheduler rank
    (nothing else is held when a db is opened). The lane is never shut
@@ -105,7 +107,7 @@ type ticket = {
 type t = {
   m : Ordered_mutex.t;
   idle : Condition.t; (* broadcast on every commit-head advance and token drop *)
-  pool : Domain_pool.t;
+  pool : Domain_pool.t option; (* [None] at width 0 *)
   workers : int;
   cmp : string -> string -> int;
   stats : Stats.t;
@@ -121,19 +123,19 @@ type t = {
 }
 
 let create ?(workers = 1) ?(cmp = String.compare) ?stats () =
-  if workers < 1 then invalid_arg "Scheduler.create: workers < 1";
+  if workers < 0 then invalid_arg "Scheduler.create: workers < 0";
   let stats = match stats with Some s -> s | None -> Stats.create () in
   Stats.provision_workers stats workers;
   {
     m = Ordered_mutex.create ~rank:Ordered_mutex.Rank.scheduler ~name:"scheduler";
     idle = Condition.create ();
-    pool = get_lane ~min_size:workers ();
+    pool = (if workers = 0 then None else Some (get_lane ~min_size:workers ()));
     workers;
     cmp;
     stats;
     order = [];
     running = 0;
-    slots = Array.make workers false;
+    slots = Array.make (max 1 workers) false;
     committing = false;
     unapplied = 0;
     failed = None;
@@ -212,7 +214,8 @@ let take_slot_locked t =
    the version as of its submission point, which is valid exactly until
    a conflicting predecessor rewrites the overlapping levels. *)
 let rec dispatch_locked t =
-  if t.running < t.workers then begin
+  match t.pool with
+  | Some pool when t.running < t.workers -> (
     let rec find seen = function
       | [] -> None
       | tk :: rest ->
@@ -229,9 +232,9 @@ let rec dispatch_locked t =
       let slot = take_slot_locked t in
       tk.state <- Running slot;
       t.running <- t.running + 1;
-      ignore (Domain_pool.submit t.pool (fun () -> run_ticket t tk slot));
-      dispatch_locked t
-  end
+      ignore (Domain_pool.submit pool (fun () -> run_ticket t tk slot));
+      dispatch_locked t)
+  | _ -> ()
 
 and run_ticket t tk slot =
   let t0 = now_ns () in
@@ -327,6 +330,25 @@ and committer_loop t =
           dispatch_locked t));
     committer_loop t
 
+(* Width 0: the caller is the lane, running the head ticket as slot 0
+   and then committing it (and whatever the hook front-inserts) as a
+   worker would. Tail-recursive, so a cascade of any length is a loop;
+   returns when the queue is empty or its head is another caller's. *)
+let rec run_on_caller t =
+  match
+    Ordered_mutex.with_lock t.m (fun () ->
+        match t.order with
+        | ({ state = Queued; _ } as tk) :: _ ->
+          tk.state <- Running 0;
+          t.running <- t.running + 1;
+          Some tk
+        | _ -> None)
+  with
+  | None -> ()
+  | Some tk ->
+    run_ticket t tk 0;
+    run_on_caller t
+
 let take_failure t =
   Ordered_mutex.with_lock t.m (fun () ->
       match t.failed with
@@ -383,6 +405,7 @@ let unapplied_bytes t = Ordered_mutex.with_lock t.m (fun () -> t.unapplied)
    predicate's inputs, so waiting on would deadlock. [committing] counts
    as not-drained: the post-commit hook may be about to enqueue. *)
 let wait_until t pred =
+  if t.workers = 0 then run_on_caller t;
   Ordered_mutex.with_lock t.m (fun () ->
       while
         (not (pred ~pending:(List.length t.order) ~unapplied_bytes:t.unapplied))
@@ -394,6 +417,7 @@ let wait_until t pred =
   raise_if_failed t
 
 let drain t =
+  if t.workers = 0 then run_on_caller t;
   Ordered_mutex.with_lock t.m (fun () ->
       while t.order <> [] || t.committing do
         Ordered_mutex.wait t.idle t.m

@@ -13,6 +13,11 @@
     uncommitted queue (see {!set_on_commit}). With [workers = 1] this
     degenerates to the strict FIFO lane of PR 4.
 
+    With [workers = 0] (the engine's [Inline] mode) there is no pool:
+    tickets queue, and {!quiesce}, {!shutdown} and {!wait_until} run them
+    on the caller, hook front-insertion included — the same tickets in
+    the same commit order.
+
     Conflict relation: jobs at the same level conflict; jobs at adjacent
     levels conflict iff their key ranges overlap; [Flush] is a
     full-range job at level -1 (serializes with flushes and L0
@@ -43,7 +48,7 @@ val create : ?workers:int -> ?cmp:(string -> string -> int) -> ?stats:Stats.t ->
     orders user keys for the conflict relation (default bytewise).
     [stats] receives per-worker counters and sequencer histograms
     ({!Stats.provision_workers} is called with [workers]).
-    @raise Invalid_argument if [workers < 1]. *)
+    @raise Invalid_argument if [workers < 0]. *)
 
 val workers : t -> int
 (** The concurrency cap this scheduler was created with. *)
@@ -72,8 +77,7 @@ val set_on_commit : t -> (unit -> unit) -> unit
     in commit order, and {!submit} calls from inside the hook are
     sequenced at the commit head (before every already-queued ticket),
     which makes the pick sequence — and therefore the whole tree
-    evolution — independent of the worker count and identical to the
-    inline scheduler's synchronous cascade. The hook may call
+    evolution — independent of the worker count. The hook may call
     {!submit}/{!conflicts_pending}. An exception from the hook latches
     as a failure and discards everything still queued. *)
 
@@ -108,12 +112,8 @@ val wait_until : t -> (pending:int -> unapplied_bytes:int -> bool) -> unit
 
 val quiesce : t -> unit
 (** Wait until every ticket has committed (or been discarded) and the
-    sequencer is idle, then re-raise any recorded failure. *)
-
-val take_failure : t -> exn option
-(** Remove and return the parked background failure, if any — the
-    fail-safe resume path ([Db.try_resume]) clears the latch without
-    re-raising. *)
+    sequencer is idle (at width 0, by running them here), then re-raise
+    any recorded failure. *)
 
 val shutdown : t -> unit
 (** Wait for every ticket to drain, discarding any recorded failure.

@@ -42,12 +42,12 @@ type t = {
       (** parallel key-range partitions executed across all compactions;
           equals [compactions] when running serially *)
   mutable write_stalls : int;
-      (** writes that had to wait for a synchronous flush *)
+      (** inline writes that ran a flush and its cascade themselves *)
   mutable write_slowdowns : int;
-      (** background backpressure: writes delayed by the bounded
+      (** backpressure (lane width >= 1): writes delayed by the bounded
           slowdown sleep ([write_slowdown_trigger]) *)
   mutable write_stops : int;
-      (** background backpressure: writes that blocked on the scheduler
+      (** backpressure (lane width >= 1): writes that blocked on the scheduler
           condition variable ([write_stop_trigger]) *)
   mutable corruptions_detected : int;
       (** typed [Corruption] errors surfaced by reads, scrubs, or recovery *)
@@ -55,7 +55,7 @@ type t = {
       (** SSTs fenced off after a corruption (reads over their range fail
           loudly instead of silently serving older versions) *)
   mutable failsafe_entries : int;
-      (** transitions into fail-safe read-only mode (background flush or
+      (** transitions into fail-safe read-only mode (a flush or
           compaction failed and the latch tripped) *)
   mutable resumes : int;  (** successful [Db.try_resume] calls *)
   mutable scrub_runs : int;  (** completed [Db.verify_integrity] passes *)
@@ -88,7 +88,7 @@ type t = {
           delay ramps linearly with compaction debt) *)
   mutable sched_workers : worker array;
       (** one entry per scheduler worker slot; sized by the scheduler at
-          creation ([[||]] until a background lane attaches) *)
+          creation ([[||]] at width 0, where the caller is the lane) *)
   mutable sched_edits_parked : int;
       (** background jobs that finished out of enqueue order and had to
           park their version edit until the commit sequencer reached

@@ -233,8 +233,8 @@ let decode_edit r =
 (* Version lifetime pinning.
 
    A version value itself is persistent, but the [.sst] files it points
-   at are not: background compaction installs a new version and then
-   wants the replaced files gone. A reader that grabbed [t.vers] just
+   at are not: compaction installs a new version and then wants the
+   replaced files gone. A reader on another domain that grabbed a version just
    before the install may still be iterating those files, so deletion
    must wait for it. The registry numbers installed versions with a
    sequence; a pin taken while version [s] is current records [s], and a
@@ -247,80 +247,91 @@ let decode_edit r =
 module Pins = struct
   module Ordered_mutex = Lsm_util.Ordered_mutex
 
+  (* One epoch per installed version; readers touch only its count. *)
+  type epoch = { eseq : int; readers : int Atomic.t }
+
   type registry = {
     m : Ordered_mutex.t;
-    pinned : (int, int) Hashtbl.t; (* version seq -> live pin count *)
-    mutable seq : int; (* seq of the currently installed version *)
-    mutable deferred : (int * (unit -> unit)) list; (* (needed seq, deletion) *)
+    current : epoch Atomic.t;
+    mutable held : epoch list; (* superseded epochs that may have readers; under [m] *)
+    mutable deferred : (int * (unit -> unit)) list; (* (needed seq, deletion); under [m] *)
   }
 
-  type pin = { preg : registry; pseq : int }
+  type pin = { preg : registry; pepoch : epoch }
 
   let create_registry () =
     {
       m = Ordered_mutex.create ~rank:Ordered_mutex.Rank.version_pins ~name:"version.pins";
-      pinned = Hashtbl.create 8;
-      seq = 0;
+      current = Atomic.make { eseq = 0; readers = Atomic.make 0 };
+      held = [];
       deferred = [];
     }
 
-  let advance reg = Ordered_mutex.with_lock reg.m (fun () -> reg.seq <- reg.seq + 1)
+  (* A reader of the superseded epoch either incremented before the
+     exchange — the count read after it sees that, and the epoch is held —
+     or its re-check in [pin_epoch] sees the new epoch and it backs off. *)
+  let advance reg =
+    Ordered_mutex.with_lock reg.m (fun () ->
+        let next = { eseq = (Atomic.get reg.current).eseq + 1; readers = Atomic.make 0 } in
+        let old = Atomic.exchange reg.current next in
+        if Atomic.get old.readers > 0 then reg.held <- old :: reg.held)
 
-  (* max_int when nothing is pinned: every deferred deletion is runnable. *)
-  let min_pinned_locked reg = Hashtbl.fold (fun s _ acc -> min s acc) reg.pinned max_int
-
+  (* Deletions no held epoch still blocks (all of them once no epoch
+     older than the current one has readers). *)
   let runnable_locked reg =
-    let mp = min_pinned_locked reg in
+    reg.held <- List.filter (fun e -> Atomic.get e.readers > 0) reg.held;
+    let mp = List.fold_left (fun acc e -> min e.eseq acc) max_int reg.held in
     let run, keep = List.partition (fun (d, _) -> mp >= d) reg.deferred in
     reg.deferred <- keep;
     (* [deferred] is newest-first; run oldest deletions first. *)
     List.rev_map snd run
 
-  let pin reg =
-    Ordered_mutex.with_lock reg.m (fun () ->
-        let s = reg.seq in
-        let c = match Hashtbl.find_opt reg.pinned s with Some c -> c | None -> 0 in
-        Hashtbl.replace reg.pinned s (c + 1);
-        { preg = reg; pseq = s })
+  let run_all fs = List.iter (fun f -> f ()) fs
 
-  let unpin p =
-    let reg = p.preg in
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          (match Hashtbl.find_opt reg.pinned p.pseq with
-          | Some c when c > 1 -> Hashtbl.replace reg.pinned p.pseq (c - 1)
-          | Some _ -> Hashtbl.remove reg.pinned p.pseq
-          | None -> ());
-          runnable_locked reg)
-    in
-    List.iter (fun f -> f ()) run
+  (* Lock-free unless this was the last reader of a superseded epoch,
+     which a deferred deletion may be waiting for. *)
+  let unpin_epoch reg e =
+    if Atomic.fetch_and_add e.readers (-1) = 1 && Atomic.get reg.current != e then
+      run_all (Ordered_mutex.with_lock reg.m (fun () -> runnable_locked reg))
+
+  let rec pin_epoch reg =
+    let e = Atomic.get reg.current in
+    Atomic.incr e.readers;
+    if Atomic.get reg.current == e then e
+    else begin
+      unpin_epoch reg e;
+      pin_epoch reg
+    end
+
+  let pin reg = { preg = reg; pepoch = pin_epoch reg }
+  let unpin p = unpin_epoch p.preg p.pepoch
 
   let defer reg f =
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          let d = reg.seq in
-          if min_pinned_locked reg >= d then [ f ]
-          else begin
-            reg.deferred <- (d, f) :: reg.deferred;
-            []
-          end)
-    in
-    List.iter (fun f -> f ()) run
+    run_all
+      (Ordered_mutex.with_lock reg.m (fun () ->
+           reg.deferred <- ((Atomic.get reg.current).eseq, f) :: reg.deferred;
+           runnable_locked reg))
 
   let deferred_count reg = Ordered_mutex.with_lock reg.m (fun () -> List.length reg.deferred)
 
   let drain reg =
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          let fs = List.rev_map snd reg.deferred in
-          reg.deferred <- [];
-          fs)
-    in
-    List.iter (fun f -> f ()) run
+    run_all
+      (Ordered_mutex.with_lock reg.m (fun () ->
+           let fs = List.rev_map snd reg.deferred in
+           reg.deferred <- [];
+           fs))
 
+  (* No [Fun.protect]: its closures would cost a read more than the pin. *)
   let with_pin reg f =
-    let p = pin reg in
-    Fun.protect ~finally:(fun () -> unpin p) f
+    let e = pin_epoch reg in
+    match f () with
+    | v ->
+      unpin_epoch reg e;
+      v
+    | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      unpin_epoch reg e;
+      Printexc.raise_with_backtrace ex bt
 end
 
 let pp ppf t =

@@ -191,22 +191,25 @@ let test_background_scrub () =
 (* Fail-safe read-only mode                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_bg_failure_enters_failsafe_and_resume () =
+(* One failure contract at every lane width: a flush/compaction that
+   trips over rot reaches the caller as a typed [Lsm_error] — through the
+   writer that drained the lane itself (Inline), or through the failure
+   latch (Background) — and parks the engine in fail-safe. *)
+let failure_enters_failsafe_and_resume backend =
   let dev = Device.in_memory () in
   build_store ~n:400 dev;
-  let config =
-    { (small_config ()) with Config.compaction_backend = Config.Background }
-  in
+  let config = { (small_config ()) with Config.compaction_backend = backend } in
   let db = Db.open_db ~config ~dev () in
   ignore (Device.plan_corruption dev ~seed:6 ~classes:[ Device.F_sst ] ~pages:1 ());
-  (* Keep feeding writes until a background flush/compaction trips over
-     the rotten table and parks the engine in fail-safe. *)
+  (* Keep feeding writes until a flush/compaction trips over the rotten
+     table and parks the engine in fail-safe. *)
   let attempts = ref 0 in
   while Db.health db <> Db.Failsafe_read_only && !attempts < 200 do
     incr attempts;
-    (* flush may itself re-raise the typed Corruption (inline leg of the
-       guard) or a typed Read_only once fail-safe engages — both are the
-       disclosed contract, never a silent success. *)
+    (* put/flush may themselves raise the typed Corruption (or the typed
+       Io_error wrapping an untyped failure), or a typed Read_only once
+       fail-safe engages — all the disclosed contract, never a silent
+       success and never a raw exception. *)
     try
       for i = 0 to 49 do
         Db.put db ~key:(Printf.sprintf "new-%03d-%03d" !attempts i) (String.make 40 'x')
@@ -242,6 +245,10 @@ let test_bg_failure_enters_failsafe_and_resume () =
   Db.put db ~key:"after-resume" "w";
   check "write after resume" true (Db.get db "after-resume" = Some "w");
   Db.close db
+
+let test_bg_failure_enters_failsafe_and_resume () =
+  failure_enters_failsafe_and_resume Config.Background;
+  failure_enters_failsafe_and_resume Config.Inline
 
 (* ------------------------------------------------------------------ *)
 (* Proportional backpressure                                            *)

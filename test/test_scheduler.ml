@@ -200,6 +200,56 @@ let test_shutdown_with_parked_edits () =
   check_int "drained after shutdown" 0 (Scheduler.pending s);
   check_int "no unapplied bytes left" 0 (Scheduler.unapplied_bytes s)
 
+(* Width 0 (the engine's inline mode): nothing runs until the caller
+   drains, and then every ticket executes and commits on the caller's
+   own domain; hook submissions front-insert exactly as on a worker
+   lane; a hook cascade far longer than any compaction cascade completes;
+   and the failure latch discards what was queued behind a failing
+   ticket. *)
+let test_scheduler_width_zero () =
+  let commit_order workers =
+    let s = Scheduler.create ~workers () in
+    let trace = ref [] and domains = ref [] in
+    let job name () =
+      domains := Domain.self () :: !domains;
+      fun () -> trace := name :: !trace
+    in
+    let submit name = Scheduler.submit s ~key:Scheduler.Maintenance ~input_bytes:0 ~execute:(job name) in
+    (* Each root's commit chains two follow-ups, picked by the hook. *)
+    Scheduler.set_on_commit s (fun () ->
+        match !trace with
+        | last :: _ when String.length last < 3 -> submit (last ^ "'")
+        | _ -> ());
+    List.iter submit [ "a"; "b"; "c" ];
+    if workers = 0 then begin
+      check_int "width 0: queued, not run" 3 (Scheduler.pending s);
+      check_int "width 0: nothing executed" 0 (List.length !domains)
+    end;
+    Scheduler.quiesce s;
+    if workers = 0 then
+      check_bool "width 0: every ticket ran on the caller" true
+        (List.for_all (fun d -> d = Domain.self ()) !domains);
+    List.rev !trace
+  in
+  let expected = [ "a"; "a'"; "a''"; "b"; "b'"; "b''"; "c"; "c'"; "c''" ] in
+  Alcotest.(check (list string)) "width 0 commit order" expected (commit_order 0);
+  Alcotest.(check (list string)) "width 1 commit order" expected (commit_order 1);
+  let s = Scheduler.create ~workers:0 () in
+  let steps = ref 0 in
+  let step () = Scheduler.submit s ~key:Scheduler.Flush ~input_bytes:0 ~execute:(fun () () -> incr steps) in
+  Scheduler.set_on_commit s (fun () -> if !steps < 20_000 then step ());
+  step ();
+  Scheduler.quiesce s;
+  check_int "a 20k-step hook cascade drains" 20_000 !steps;
+  Scheduler.set_on_commit s (fun () -> ());
+  let ran = ref [] in
+  Scheduler.enqueue s (fun () -> ran := "before" :: !ran);
+  Scheduler.enqueue s (fun () -> raise Boom);
+  Scheduler.enqueue s (fun () -> ran := "behind" :: !ran);
+  Alcotest.check_raises "width 0: failure re-raised" Boom (fun () -> Scheduler.quiesce s);
+  Alcotest.(check (list string)) "ticket behind the failure discarded" [ "before" ] !ran;
+  check_int "width 0: drained" 0 (Scheduler.pending s)
+
 (* ---------- version pinning ---------- *)
 
 let test_version_pins () =
@@ -225,6 +275,44 @@ let test_version_pins () =
       Version.Pins.defer reg (fun () -> dropped := "c" :: !dropped);
       check_int "current-version pin does not block" 0 (Version.Pins.deferred_count reg));
   Alcotest.(check (list string)) "ran inline" [ "c"; "b"; "a" ] !dropped
+
+(* The lock-free reader side under contention: reader domains pin, read
+   the published version, and check that its files are still there while
+   a writer publishes versions, advances, and defers each predecessor's
+   deletion — the same publish-advance-defer order [Db.install_edit] and
+   [retire_files] follow. A deletion that ran under a pin older than it
+   is a lost table. *)
+let test_version_pins_concurrent () =
+  let reg = Version.Pins.create_registry () in
+  let versions = 3000 in
+  let deleted = Array.init (versions + 1) (fun _ -> Atomic.make false) in
+  let published = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let reader () =
+    Domain.spawn (fun () ->
+        let bad = ref 0 in
+        while not (Atomic.get stop) do
+          Version.Pins.with_pin reg (fun () ->
+              let v = Atomic.get published in
+              for _ = 1 to 20 do
+                if Atomic.get deleted.(v) then incr bad
+              done)
+        done;
+        !bad)
+  in
+  let readers = List.init 3 (fun _ -> reader ()) in
+  for v = 1 to versions do
+    Atomic.set published v;
+    Version.Pins.advance reg;
+    Version.Pins.defer reg (fun () -> Atomic.set deleted.(v - 1) true)
+  done;
+  Atomic.set stop true;
+  let bad = List.fold_left (fun a d -> a + Domain.join d) 0 readers in
+  check_int "no pinned version lost its files" 0 bad;
+  Version.Pins.drain reg;
+  check_int "every deletion ran" 0 (Version.Pins.deferred_count reg);
+  check_bool "all predecessors deleted" true
+    (Array.for_all Atomic.get (Array.sub deleted 0 versions))
 
 (* ---------- engine: background = inline ---------- *)
 
@@ -336,17 +424,146 @@ let test_worker_count_determinism () =
     Alcotest.(check (list string)) (Printf.sprintf "seed %#x: workers=4 = inline" seed) inline w4
   done
 
-(* ---------- concurrent readers vs background compaction ---------- *)
+(* Golden maintenance I/O: a seeded Inline workload — writer-triggered
+   flushes and cascades, the throttled per-write slices, [Db.flush],
+   [Db.compact_once] until idle, then [Db.major_compact] — must keep
+   moving exactly these bytes and counting exactly these events, both
+   unthrottled and with a 64 KiB compaction budget per round. The
+   figures are a recorded reference: any drift means the tree evolved
+   differently. *)
+type maintenance_io = {
+  flush_bytes : int;
+  compaction_read_bytes : int;
+  compaction_write_bytes : int;
+  flushes : int;
+  compactions : int;
+  trivial_moves : int;
+  write_stalls : int;
+  max_stall_burst : int;
+}
+
+let maintenance_io db =
+  let module Io = Lsm_storage.Io_stats in
+  let io = Db.io_stats db and st = Db.stats db in
+  {
+    flush_bytes = Io.bytes_written ~cls:Io.C_flush io;
+    compaction_read_bytes = Io.bytes_read ~cls:Io.C_compaction_read io;
+    compaction_write_bytes = Io.bytes_written ~cls:Io.C_compaction_write io;
+    flushes = st.Stats.flushes;
+    compactions = st.Stats.compactions;
+    trivial_moves = st.Stats.trivial_moves;
+    write_stalls = st.Stats.write_stalls;
+    max_stall_burst = Lsm_util.Histogram.max_value st.Stats.stall_burst_bytes;
+  }
+
+(* The I/O after the seeded workload (which ends in [Db.flush]), the
+   number of [Db.compact_once] steps that then find work, and the I/O
+   after a final [Db.major_compact]. *)
+let golden_run ~budget =
+  let dev = Device.in_memory () in
+  let config =
+    { (small_config ~backend:Config.Inline) with compaction_bytes_per_round = budget }
+  in
+  let db = Db.open_db ~config ~dev () in
+  run_workload db ~seed:0x601D ~ops:12_000;
+  let after_workload = maintenance_io db in
+  let steps = ref 0 in
+  while Db.compact_once db do
+    incr steps
+  done;
+  Db.major_compact db;
+  let final = maintenance_io db in
+  Db.close db;
+  (after_workload, !steps, final)
+
+let check_maintenance_io name expected got =
+  let field label f = check_int (name ^ ": " ^ label) (f expected) (f got) in
+  field "C_flush bytes" (fun r -> r.flush_bytes);
+  field "C_compaction_read bytes" (fun r -> r.compaction_read_bytes);
+  field "C_compaction_write bytes" (fun r -> r.compaction_write_bytes);
+  field "flushes" (fun r -> r.flushes);
+  field "compactions" (fun r -> r.compactions);
+  field "trivial moves" (fun r -> r.trivial_moves);
+  field "write stalls" (fun r -> r.write_stalls);
+  field "max stall burst" (fun r -> r.max_stall_burst)
+
+let test_golden_maintenance_io () =
+  let after_workload =
+    { flush_bytes = 305368; compaction_read_bytes = 1117743;
+      compaction_write_bytes = 988963; flushes = 116; compactions = 39; trivial_moves = 1;
+      write_stalls = 114; max_stall_burst = 55039 }
+  in
+  let final =
+    { after_workload with
+      compaction_read_bytes = 1191911; compaction_write_bytes = 1041128; compactions = 40 }
+  in
+  List.iter
+    (fun (name, budget, max_stall_burst) ->
+      let a, steps, f = golden_run ~budget in
+      check_maintenance_io (name ^ " workload") { after_workload with max_stall_burst } a;
+      check_int (name ^ ": compact_once steps") 0 steps;
+      check_maintenance_io (name ^ " final") { final with max_stall_burst } f)
+    [ ("unthrottled", None, 55039); ("64 KiB rounds", Some 65536, 38288) ]
+
+(* [compaction_bytes_per_round] is read by the pick hook, so it caps
+   each cascade round at every width — here on a one-worker lane. The
+   writes go in as batches, which never kick a throttled round, so the
+   only rounds are the flush commits' own. Small output files make the
+   unbudgeted cascades several single-file merges long; with a one-byte
+   budget each flush buys at most one merge, so fewer run in all, and
+   the data is intact either way. *)
+let test_budget_caps_lane_rounds () =
+  let run budget =
+    let dev = Device.in_memory () in
+    let config =
+      { (small_config ~backend:Config.Background) with
+        compaction_workers = 1;
+        target_file_size = 4096;
+        compaction_bytes_per_round = budget }
+    in
+    let db = Db.open_db ~config ~dev () in
+    let rng = Rng.create 77 in
+    let model = Hashtbl.create 2000 in
+    for i = 1 to 300 do
+      let b = Lsm_core.Write_batch.create () in
+      for j = 1 to 20 do
+        let key = Printf.sprintf "key%06d" (Rng.int rng 2000) in
+        let v = Printf.sprintf "v-%06d-%02d-%s" i j (String.make 40 'x') in
+        Lsm_core.Write_batch.put b ~key v;
+        Hashtbl.replace model key v
+      done;
+      Db.apply_batch db b
+    done;
+    Db.quiesce db;
+    let compactions = (Db.stats db).Stats.compactions in
+    Hashtbl.iter
+      (fun key v -> Alcotest.(check (option string)) key (Some v) (Db.get db key))
+      model;
+    check_int "scan sees every key" (Hashtbl.length model)
+      (List.length (Db.scan db ~lo:"" ~hi:None ()));
+    (match Db.check_invariants db with Ok () -> () | Error e -> Alcotest.fail e);
+    Db.close db;
+    compactions
+  in
+  let unbudgeted = run None and budgeted = run (Some 1) in
+  check_bool
+    (Printf.sprintf "budgeted lane compactions %d < unbudgeted %d" budgeted unbudgeted)
+    true (budgeted < unbudgeted)
+
+(* ---------- concurrent readers vs maintenance ---------- *)
 
 (* Reader domains hammer a committed stable prefix while the main domain
-   keeps writing, driving background flushes and compactions that retire
-   tables the readers may be probing. Version pinning must keep every
-   probed file alive: a reader observing a deleted table would raise (or
-   return garbage), so "always the right value" is the whole check.
-   Runs under LSM_LOCKDEP=1 in CI, validating the lock order too. *)
-let test_readers_during_background_compaction () =
+   keeps writing, driving flushes and compactions that retire tables the
+   readers may be probing. Version pinning must keep every probed file
+   alive at every lane width — inline (width 0, the writer runs the
+   maintenance itself) as much as with background workers: a reader
+   observing a deleted table would raise, quarantine a live table and
+   degrade the db, so "always the right value, nothing quarantined" is
+   the whole check. Runs under LSM_LOCKDEP=1 in CI, validating the lock
+   order too. *)
+let readers_during_maintenance ~name config =
   let dev = Device.in_memory () in
-  let db = Db.open_db ~config:(small_config ~backend:Config.Background) ~dev () in
+  let db = Db.open_db ~config ~dev () in
   let stable = 1500 in
   for i = 0 to stable - 1 do
     Db.put db ~key:(Printf.sprintf "s%06d" i) (Printf.sprintf "stable%06d" i)
@@ -372,20 +589,31 @@ let test_readers_during_background_compaction () =
         !ok)
   in
   let readers = List.init 3 reader in
-  (* Meanwhile: churn through rotations, background flushes, compactions. *)
+  (* Meanwhile: churn through rotations, flushes, compactions. *)
   let compactions_before = (Db.stats db).Stats.compactions in
   for i = 0 to 5999 do
     Db.put db ~key:(Printf.sprintf "w%06d" (i mod 700)) (Printf.sprintf "live%06d" i)
   done;
   let all_ok = List.for_all Domain.join readers in
   Db.quiesce db;
-  check_bool "readers always saw the stable prefix" true all_ok;
-  check_bool "background compactions actually ran" true
+  check_bool (name ^ ": readers always saw the stable prefix") true all_ok;
+  check_bool (name ^ ": compactions actually ran") true
     ((Db.stats db).Stats.compactions > compactions_before);
-  check_int "stable prefix intact" stable
+  check_int (name ^ ": nothing quarantined") 0 (List.length (Db.quarantined_tables db));
+  check_bool (name ^ ": healthy") true (Db.health db = Db.Healthy);
+  check_int (name ^ ": stable prefix intact") stable
     (List.length (Db.scan db ~lo:"s" ~hi:(Some "t") ()));
   (match Db.check_invariants db with Ok () -> () | Error e -> Alcotest.fail e);
   Db.close db
+
+let test_readers_during_background_compaction () =
+  readers_during_maintenance ~name:"inline" (small_config ~backend:Config.Inline);
+  List.iter
+    (fun workers ->
+      readers_during_maintenance
+        ~name:(Printf.sprintf "background w%d" workers)
+        { (small_config ~backend:Config.Background) with compaction_workers = workers })
+    [ 1; 4 ]
 
 (* ---------- backpressure ---------- *)
 
@@ -501,11 +729,16 @@ let suite =
       test_failed_predecessor_discards_parked;
     Alcotest.test_case "scheduler: shutdown with parked edits" `Quick
       test_shutdown_with_parked_edits;
+    Alcotest.test_case "scheduler: width 0 runs on the caller" `Quick test_scheduler_width_zero;
     Alcotest.test_case "version pins: deferred deletion" `Quick test_version_pins;
+    Alcotest.test_case "version pins: lock-free readers vs installs" `Quick
+      test_version_pins_concurrent;
     Alcotest.test_case "background = inline" `Slow test_background_equals_inline;
     Alcotest.test_case "background: reproducible" `Slow test_background_self_determinism;
     Alcotest.test_case "determinism across worker counts (20 seeds)" `Slow
       test_worker_count_determinism;
+    Alcotest.test_case "golden inline maintenance I/O" `Quick test_golden_maintenance_io;
+    Alcotest.test_case "compaction budget caps lane rounds" `Quick test_budget_caps_lane_rounds;
     Alcotest.test_case "stress: readers vs background compaction" `Slow
       test_readers_during_background_compaction;
     Alcotest.test_case "backpressure: config validation" `Quick test_backpressure_validation;
